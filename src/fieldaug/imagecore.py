@@ -20,7 +20,6 @@ __all__ = [
     "ensure_u8",
     "ensure_f32",
     "u8_from_float",
-    "f32_from_u8",
     "load_ppm",
     "save_ppm",
     "load_pgm",
@@ -66,10 +65,6 @@ def u8_from_float(values: np.ndarray) -> np.ndarray:
     """Clamp to [0, 255], round half away from zero, cast to uint8."""
     clamped = np.clip(np.asarray(values, dtype=np.float64), 0.0, 255.0)
     return np.floor(clamped + 0.5).astype(np.uint8)
-
-
-def f32_from_u8(img: np.ndarray) -> np.ndarray:
-    return ensure_u8(img).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,7 @@ def init_model(input_size: int = 16, embed_dim: int = 8, seed: int = 0) -> TinyM
             if name.endswith("_w"):
                 fan_in = shape[1]
             bound = 1.0 / math.sqrt(fan_in)
-            for i in range(view.size):
-                view[i] = rng.uniform(-bound, bound)
+            view[:] = rng.uniforms(view.size, -bound, bound)
     return model
 
 
@@ -568,8 +567,8 @@ def model_grad_check(
     model = init_model(input_size, embed_dim, seed=derive_seed(seed, 0))
     rng = RandomStream(derive_seed(seed, 1))
     in_dim = model.in_dim
-    x1 = np.array([[rng.next_float64() for _ in range(in_dim)] for _ in range(n)])
-    x2 = np.array([[rng.next_float64() for _ in range(in_dim)] for _ in range(n)])
+    x1 = rng.uniforms(n * in_dim, 0.0, 1.0).reshape(n, in_dim)
+    x2 = rng.uniforms(n * in_dim, 0.0, 1.0).reshape(n, in_dim)
 
     _, grad = backward(model, x1, x2, lam)
 
@@ -616,13 +615,8 @@ def _soil_base(stream: RandomStream, size: int) -> np.ndarray:
     standardization roughly half the pixels of any non-constant image have
     positive excess green, and only spatially coherent regions survive the
     mask refinement."""
-    img = np.empty((size, size, 3), dtype=np.uint8)
-    for v in range(size):
-        for u in range(size):
-            img[v, u, 0] = 100 + stream.next_below(50)
-            img[v, u, 1] = 70 + stream.next_below(40)
-            img[v, u, 2] = 40 + stream.next_below(35)
-    return img
+    noise = stream.below_many(size * size * 3, np.tile((50, 40, 35), size * size))
+    return (noise.reshape(size, size, 3) + (100, 70, 40)).astype(np.uint8)
 
 
 def make_synthetic_soil(count: int, size: int = 16, seed: int = 0) -> list[np.ndarray]:
@@ -649,14 +643,8 @@ def make_synthetic_corpus(count: int, size: int = 16, seed: int = 0) -> list[np.
             50 + stream.next_below(120),
             30 + stream.next_below(110),
         )
-        img = np.empty((size, size, 3), dtype=np.uint8)
-        for v in range(size):
-            for u in range(size):
-                img[v, u] = (
-                    min(255, base[0] + stream.next_below(20)),
-                    min(255, base[1] + stream.next_below(20)),
-                    min(255, base[2] + stream.next_below(20)),
-                )
+        noise = stream.below_many(size * size * 3, 20).reshape(size, size, 3)
+        img = np.minimum(255, noise + base).astype(np.uint8)
         blob_color = (
             10 + stream.next_below(80),
             90 + stream.next_below(140),

@@ -45,57 +45,68 @@ def binarize(field: np.ndarray, theta: float = DEFAULT_THETA) -> np.ndarray:
     return np.asarray(field) > theta
 
 
-def _offsets(k: int) -> range:
+def _offsets(k: int) -> tuple[int, int]:
+    """First and last offset of a k-wide window under the anchor convention."""
     lo = -((k - 1) // 2)
-    return range(lo, lo + k)
+    return lo, lo + k - 1
 
 
-def _shifted(mask: np.ndarray, du: int, dv: int) -> np.ndarray:
-    """mask sampled at (u+du, v+dv), False outside the image."""
-    h, w = mask.shape
-    out = np.zeros_like(mask)
-    src_u = slice(max(du, 0), min(w + du, w))
-    dst_u = slice(max(-du, 0), max(-du, 0) + (src_u.stop - src_u.start))
-    src_v = slice(max(dv, 0), min(h + dv, h))
-    dst_v = slice(max(-dv, 0), max(-dv, 0) + (src_v.stop - src_v.start))
-    if src_u.stop > src_u.start and src_v.stop > src_v.start:
-        out[dst_v, dst_u] = mask[src_v, src_u]
-    return out
+def _window_axis(mask: np.ndarray, lo: int, hi: int, axis: int, op) -> np.ndarray:
+    """``op``-reduce of positions i+lo .. i+hi along ``axis`` into position
+    i, reading positions outside the mask as False. Zero padding, then
+    shift-doubling: after the loop position j of ``runs`` reduces ``span``
+    consecutive padded positions from j, and two (possibly overlapping)
+    runs cover each window."""
+    def part(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    n = mask.shape[axis]
+    pad_lo, pad_hi = max(0, -lo), max(0, hi)
+    shape = list(mask.shape)
+    shape[axis] += pad_lo + pad_hi
+    runs = np.zeros(shape, dtype=bool)
+    runs[part(pad_lo, pad_lo + n)] = mask
+    size, span = hi - lo + 1, 1
+    while 2 * span <= size:
+        runs = op(runs[part(0, -span)], runs[part(span, None)])
+        span *= 2
+    first, last = pad_lo + lo, pad_lo + hi - span + 1
+    return op(runs[part(first, first + n)], runs[part(last, last + n)])
+
+
+def _window(mask: np.ndarray, cols: tuple[int, int], rows: tuple[int, int], op) -> np.ndarray:
+    """Rectangular window reduction, one axis at a time (exact for AND and
+    OR, because out-of-bounds reads are False on both passes)."""
+    across = _window_axis(np.asarray(mask, dtype=bool), *cols, 1, op)
+    return _window_axis(across, *rows, 0, op)
 
 
 def erode(mask: np.ndarray, kw: int, kh: int) -> np.ndarray:
     """AND over the rectangular window around each pixel."""
     if kw < 1 or kh < 1:
         raise ValueError("kernel dimensions must be >= 1")
-    mask = np.asarray(mask, dtype=bool)
-    out = np.ones_like(mask)
-    for dv in _offsets(kh):
-        for du in _offsets(kw):
-            out &= _shifted(mask, du, dv)
-    return out
+    return _window(mask, _offsets(kw), _offsets(kh), np.logical_and)
 
 
 def dilate(mask: np.ndarray, kw: int, kh: int) -> np.ndarray:
     """OR over the rectangular window around each pixel."""
     if kw < 1 or kh < 1:
         raise ValueError("kernel dimensions must be >= 1")
-    mask = np.asarray(mask, dtype=bool)
-    out = np.zeros_like(mask)
-    for dv in _offsets(kh):
-        for du in _offsets(kw):
-            out |= _shifted(mask, du, dv)
-    return out
+    return _window(mask, _offsets(kw), _offsets(kh), np.logical_or)
 
 
 def refine_mask(mask: np.ndarray) -> np.ndarray:
     """Fixed cleanup schedule: 2 rounds of (2,2) erosion, then 4 rounds of
-    (6,6) dilation."""
-    out = np.asarray(mask, dtype=bool)
-    for _ in range(2):
-        out = erode(out, 2, 2)
-    for _ in range(4):
-        out = dilate(out, 6, 6)
-    return out
+    (6,6) dilation.
+
+    Computed as one erosion over offsets [0, 2]^2 and one dilation over
+    [-8, 12]^2, the sums of the rounds' windows. Composing two rounds equals
+    one round over the summed window because every window contains offset
+    0: any in-bounds pixel the summed window reaches is reached through an
+    in-bounds pixel between it and the output pixel, and any out-of-bounds
+    intermediate pixel is itself read by the summed window."""
+    out = _window(mask, (0, 2), (0, 2), np.logical_and)
+    return _window(out, (-8, 12), (-8, 12), np.logical_or)
 
 
 def vegetation_fraction(mask: np.ndarray) -> float:

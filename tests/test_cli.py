@@ -63,6 +63,29 @@ class TestAugmentCommand:
             b = (workspace / "out2" / name).read_bytes()
             assert a == b, name
 
+    def test_soil_bank_built_once_and_one_pool(self, workspace, monkeypatch):
+        built = []
+        build = cli.augment.build_soil_bank
+
+        def counted_build(*args, **kwargs):
+            built.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli.augment, "build_soil_bank", counted_build)
+        pools = count_pools(monkeypatch)
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_WORKER_CACHE", {})
+            assert cli.main([
+                "augment", "--input", str(workspace / "in"),
+                "--output", str(workspace / f"out{workers}"),
+                "--policy", str(workspace / "policy.txt"),
+                "--workers", str(workers),
+            ]) == 0
+            # one bank per call: worker processes inherit it or build their own
+            assert len(built) == 1
+            built.clear()
+        assert pools == [2]
+
     def test_missing_policy_is_usage_error(self, workspace, capsys):
         code = cli.main([
             "augment", "--input", str(workspace / "in"),
@@ -181,7 +204,31 @@ class TestPretrainCommand:
         assert code == 2
 
 
+def count_pools(monkeypatch) -> list:
+    """Record every process pool the CLI constructs."""
+    pools = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    return pools
+
+
 class TestBenchCommand:
+    def test_one_pool_for_every_stage_and_repeat(self, workspace, monkeypatch):
+        pools = count_pools(monkeypatch)
+        code = cli.main([
+            "bench", "--input", str(workspace / "in"),
+            "--policy", str(workspace / "policy.txt"),
+            "--repeat", "3", "--workers", "2",
+            "--manifest", str(workspace / "bench.manifest.txt"),
+        ])
+        assert code == 0
+        assert pools == [2]
+
     def test_reports_stage_rates(self, workspace, capsys):
         code = cli.main([
             "bench", "--input", str(workspace / "in"),

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from fieldaug import rng
 from fieldaug.rng import MASK64, RandomStream, derive_seed, splitmix64
 
 
@@ -74,3 +76,48 @@ def test_shuffle_is_permutation():
     again = items.copy()
     RandomStream(11).shuffle(again)
     assert again == shuffled
+
+
+BULK_SIZES = sorted({
+    0, 1, rng.BLOCK - 1, rng.BLOCK, rng.BLOCK + 1,
+    rng.CROSSOVER - 1, rng.CROSSOVER, rng.CROSSOVER + 1, 16384, 49152,
+})
+
+# (bulk call, the scalar call it must repeat n times)
+BULK_METHODS = {
+    "u64s": (lambda s, n: s.u64s(n), lambda s: s.next_u64()),
+    "below_many": (lambda s, n: s.below_many(n, 7), lambda s: s.next_below(7)),
+    "below_many_large": (lambda s, n: s.below_many(n, 10 ** 15 + 37),
+                         lambda s: s.next_below(10 ** 15 + 37)),
+    "bytes": (lambda s, n: s.bytes(n), lambda s: s.next_byte()),
+    "uniforms": (lambda s, n: s.uniforms(n, -2.5, 0.75), lambda s: s.uniform(-2.5, 0.75)),
+}
+
+
+@pytest.mark.parametrize("method", sorted(BULK_METHODS))
+@pytest.mark.parametrize("n", BULK_SIZES)
+def test_bulk_draws_equal_scalar_draws(method, n):
+    bulk, scalar = BULK_METHODS[method]
+    a, b = RandomStream(99), RandomStream(99)
+    got = bulk(a, n)
+    assert got.shape == (n,)
+    assert got.tolist() == [scalar(b) for _ in range(n)]
+    # the stream is left where the scalar calls leave it
+    assert a.next_u64() == b.next_u64()
+
+
+def test_below_many_takes_one_bound_per_draw():
+    bounds = np.tile([50, 40, 35], 700)
+    a, b = RandomStream(5), RandomStream(5)
+    assert a.below_many(len(bounds), bounds).tolist() == [b.next_below(int(k)) for k in bounds]
+    assert a.next_u64() == b.next_u64()
+
+
+def test_bulk_draw_validation():
+    s = RandomStream(1)
+    with pytest.raises(ValueError):
+        s.u64s(-1)
+    with pytest.raises(ValueError):
+        s.below_many(3, 0)
+    with pytest.raises(ValueError):
+        s.below_many(2, [4, -1])

@@ -150,8 +150,10 @@ class TestRefineMask:
         assert np.array_equal(refined, brute_force_refine(mask))
 
     def test_matches_composition_oracle(self, rng):
-        for _ in range(3):
-            mask = rng.random((16, 16)) < 0.45
+        masks = [rng.random((16, 16)) < 0.45 for _ in range(3)]
+        masks += [rng.random(shape) < 0.8 for shape in [(1, 39), (39, 1), (7, 23), (33, 14)]]
+        masks.append(rng.random((512, 512)) < 0.45)
+        for mask in masks:
             assert np.array_equal(vm.refine_mask(mask), brute_force_refine(mask))
 
 
