@@ -82,6 +82,15 @@ SOIL_MAX_FRACTION = 0.05
 
 _LUMA = np.array([0.299, 0.587, 0.114])
 
+# Per 60-degree hue sector, which of R, G, B take the chroma and which
+# take the middle value before minc is added back; the rest take 0.
+_TAKES_CHROMA = np.array(
+    [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1], [1, 0, 0]], dtype=bool
+)
+_TAKES_MID = np.array(
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=bool
+)
+
 
 # ---------------------------------------------------------------------------
 # affine transform
@@ -181,37 +190,27 @@ def _rotate_hue(x: np.ndarray, hue: float) -> np.ndarray:
     after unclamped contrast) have no defined hue and pass through; they
     clamp to black at byte conversion anyway."""
     r, g, b = x[:, :, 0], x[:, :, 1], x[:, :, 2]
-    maxc = x.max(axis=2)
-    minc = x.min(axis=2)
+    maxc = np.maximum(np.maximum(r, g), b)
+    minc = np.minimum(np.minimum(r, g), b)
     delta = maxc - minc
     active = (delta > 0) & (maxc > 0)
     safe_delta = np.where(active, delta, 1.0)
 
-    h6 = np.select(
-        [maxc == r, maxc == g],
-        [((g - b) / safe_delta) % 6.0, (b - r) / safe_delta + 2.0],
-        default=(r - g) / safe_delta + 4.0,
+    h6 = np.where(
+        maxc == r,
+        ((g - b) / safe_delta) % 6.0,
+        np.where(maxc == g, (b - r) / safe_delta + 2.0, (r - g) / safe_delta + 4.0),
     )
     h = (h6 / 6.0 + hue) % 1.0
 
     hp = h * 6.0
     sector = np.floor(hp).astype(np.int64) % 6
     c_mid = delta * (1.0 - np.abs(hp % 2.0 - 1.0))
-    zeros = np.zeros_like(delta)
-    # chroma triples per 60-degree sector, before adding minc back
-    by_sector = [
-        (delta, c_mid, zeros),
-        (c_mid, delta, zeros),
-        (zeros, delta, c_mid),
-        (zeros, c_mid, delta),
-        (c_mid, zeros, delta),
-        (delta, zeros, c_mid),
-    ]
-    picks = [sector == s for s in range(6)]
-    rotated = np.stack(
-        [np.select(picks, [by_sector[s][c] for s in range(6)]) + minc for c in range(3)],
-        axis=2,
-    )
+    rotated = np.where(
+        _TAKES_CHROMA.take(sector, axis=0),
+        delta[:, :, None],
+        np.where(_TAKES_MID.take(sector, axis=0), c_mid[:, :, None], 0.0),
+    ) + minc[:, :, None]
     return np.where(active[:, :, None], rotated, x)
 
 
@@ -242,13 +241,12 @@ def color_jitter(img: np.ndarray, p: ColorJitterParams) -> np.ndarray:
 
 def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     r = (len(taps) - 1) // 2
-    pad = [(0, 0)] * x.ndim
-    pad[axis] = (r, r)
-    padded = np.pad(x, pad, mode="edge")
+    n = x.shape[axis]
+    padded = x.take(np.clip(np.arange(-r, n + r), 0, n - 1), axis=axis)
     out = np.zeros(x.shape, dtype=np.float64)
     for i, weight in enumerate(taps):
         sl = [slice(None)] * x.ndim
-        sl[axis] = slice(i, i + x.shape[axis])
+        sl[axis] = slice(i, i + n)
         out += weight * padded[tuple(sl)]
     return out
 

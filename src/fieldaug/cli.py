@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import itertools
 import math
+import os
 import statistics
 import sys
 import time
@@ -162,19 +163,34 @@ def _synthesize_bank(size: int, seed: int) -> augment.SoilBank:
 # augment
 # ---------------------------------------------------------------------------
 
+def _write_views(out_dir: Path, stem: str, views) -> None:
+    """Write ``<stem>.v<k>.ppm`` for each view through temp files in
+    ``out_dir`` renamed into place once all are written, so a failure
+    leaves neither a partial view nor a temp file behind."""
+    temps = [out_dir / f".{stem}.v{k}.{os.getpid()}.tmp" for k in range(1, len(views) + 1)]
+    try:
+        for temp, view in zip(temps, views):
+            temp.write_bytes(save_ppm(view))
+        for k, temp in enumerate(temps, start=1):
+            os.replace(temp, out_dir / f"{stem}.v{k}.ppm")
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
 def _augment_task(task) -> tuple[str, str]:
+    """Views for one input file; any failure is returned as a message
+    against the file instead of stopping the other inputs."""
     index, in_path, out_dir, policy_path, seed_override = task
     pol, bank = _cached_policy(policy_path, seed_override)
-    name = Path(in_path).name
+    in_path = Path(in_path)
     try:
-        img = load_ppm(Path(in_path).read_bytes())
-    except CodecError as exc:
-        return name, str(exc)
-    v1, v2 = make_views(img, pol, index, soil_bank=bank)
-    stem = Path(in_path).stem
-    Path(out_dir, f"{stem}.v1.ppm").write_bytes(save_ppm(v1))
-    Path(out_dir, f"{stem}.v2.ppm").write_bytes(save_ppm(v2))
-    return name, ""
+        img = load_ppm(in_path.read_bytes())
+        views = make_views(img, pol, index, soil_bank=bank)
+        _write_views(Path(out_dir), in_path.stem, views)
+    except Exception as exc:  # noqa: BLE001 - reported per file, exit 1
+        return in_path.name, f"{type(exc).__name__}: {exc}"
+    return in_path.name, ""
 
 
 def _cmd_augment(args, manifest: Manifest) -> int:

@@ -116,6 +116,8 @@ def _parse_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
         raise CodecError(
             f"truncated pixel data: expected {expected} bytes, got {len(payload)}"
         )
+    if len(data) > pos + expected:
+        raise CodecError(f"{len(data) - pos - expected} trailing bytes after pixel data")
     arr = np.frombuffer(payload, dtype=np.uint8)
     if channels == 1:
         return arr.reshape(height, width).copy()
@@ -123,7 +125,8 @@ def _parse_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
 
 
 def load_ppm(data: bytes) -> np.ndarray:
-    """Decode a binary P6 PPM (maxval 255) to a byte image, pixel-exact."""
+    """Decode a binary P6 PPM (maxval 255) to a byte image, pixel-exact.
+    Bytes after the pixel data are rejected, so multi-image files are too."""
     return _parse_netpbm(data, b"P6", 3)
 
 
@@ -135,7 +138,8 @@ def save_ppm(img: np.ndarray) -> bytes:
 
 
 def load_pgm(data: bytes) -> np.ndarray:
-    """Decode a binary P5 PGM (maxval 255) to a (H, W) uint8 array."""
+    """Decode a binary P5 PGM (maxval 255) to a (H, W) uint8 array; like
+    :func:`load_ppm` it rejects bytes after the pixel data."""
     return _parse_netpbm(data, b"P5", 1)
 
 
@@ -171,39 +175,35 @@ def bilinear_sample_grid(
     with it. Returns float64 values of shape ``xs.shape + (3,)``.
     """
     h, w = img.shape[:2]
-    data = img.astype(np.float64, copy=False)
-    fill = np.asarray(fill, dtype=np.float64).reshape(1, 3)
+    # channel planes with a one-pixel border of fill: every clipped
+    # neighbor index is in range, and a weight multiplies a whole plane
+    padded = np.empty((3, h + 2, w + 2), dtype=np.float64)
+    padded[...] = np.asarray(fill, dtype=np.float64).reshape(3, 1, 1)
+    padded[:, 1:-1, 1:-1] = np.moveaxis(img, 2, 0)
+    planes = padded.reshape(3, -1)
 
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    shape = xs.shape
-    xs = xs.ravel()
-    ys = ys.ravel()
-
+    shape = np.shape(xs)
+    xs = np.asarray(xs, dtype=np.float64).ravel()
+    ys = np.asarray(ys, dtype=np.float64).ravel()
     x0 = np.floor(xs)
     y0 = np.floor(ys)
     fx = xs - x0
     fy = ys - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
+    wx, wy = (1 - fx, fx), (1 - fy, fy)
+    # padded column/row of each neighbor, clipped to [-1, w] x [-1, h] in
+    # float so that far-out coordinates cannot overflow the integer cast
+    cols = [(np.clip(x0 + d, -1, w) + 1).astype(np.intp) for d in (0, 1)]
+    rows = [(np.clip(y0 + d, -1, h) + 1).astype(np.intp) * (w + 2) for d in (0, 1)]
 
-    out = np.zeros((xs.size, 3), dtype=np.float64)
-    for dx, dy, weight in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        xi = x0 + dx
-        yi = y0 + dy
-        inside = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        values = np.where(
-            inside[:, None],
-            data[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)],
-            fill,
-        )
-        out += weight[:, None] * values
-    return out.reshape(shape + (3,))
+    out = np.zeros((3, xs.size), dtype=np.float64)
+    values = np.empty_like(out)
+    for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        # indices are in range by construction; mode="clip" lets take write
+        # into ``values`` without the buffer that mode="raise" needs
+        planes.take(rows[dy] + cols[dx], axis=1, out=values, mode="clip")
+        values *= wx[dx] * wy[dy]
+        out += values
+    return np.ascontiguousarray(out.T).reshape(shape + (3,))
 
 
 def bilinear_sample(img: np.ndarray, x: float, y: float, fill) -> np.ndarray:
@@ -223,6 +223,8 @@ def bilinear_resize(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     h, w = img.shape[:2]
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be >= 1")
+    if (out_w, out_h) == (w, h):
+        return img.copy()
     if out_w > 1:
         xs = np.arange(out_w, dtype=np.float64) * ((w - 1) / (out_w - 1))
     else:

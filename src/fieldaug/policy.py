@@ -27,6 +27,7 @@ and sorts override keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,21 +80,30 @@ DEFAULT_ORDER = (
     "random_erasing",
 )
 
-_FLOAT_KEYS = {
+# Sampled ranges per augmentation: key prefix and default range. A policy
+# may override either end through ``<prefix>_min`` / ``<prefix>_max``; the
+# validator checks the merged range.
+_RANGES = {
     "affine": (
-        "scale_min", "scale_max", "rotation_min", "rotation_max",
-        "shear_min", "shear_max", "translate_frac",
+        ("scale", augment.SCALE_RANGE), ("rotation", augment.ROTATION_RANGE),
+        ("shear", augment.SHEAR_RANGE),
     ),
     "color_jitter": (
-        "brightness_min", "brightness_max", "contrast_min", "contrast_max",
-        "saturation_min", "saturation_max", "hue_min", "hue_max",
+        ("brightness", augment.BRIGHTNESS_RANGE), ("contrast", augment.CONTRAST_RANGE),
+        ("saturation", augment.SATURATION_RANGE), ("hue", augment.HUE_RANGE),
     ),
-    "gaussian_blur": ("sigma_min", "sigma_max"),
-    "mixing": (),
+    "gaussian_blur": (("sigma", augment.SIGMA_RANGE),),
     "random_erasing": (
-        "min_fraction", "area_min", "area_max", "aspect_min", "aspect_max",
+        ("area", augment.ERASE_AREA_RANGE), ("aspect", augment.ERASE_ASPECT_RANGE),
     ),
-    "background_invariance": (),
+}
+_POSITIVE_RANGES = ("scale", "sigma", "area", "aspect")
+_SCALAR_KEYS = {"affine": ("translate_frac",), "random_erasing": ("min_fraction",)}
+_FLOAT_KEYS = {
+    name: tuple(
+        f"{prefix}_{end}" for prefix, _ in _RANGES.get(name, ()) for end in ("min", "max")
+    ) + _SCALAR_KEYS.get(name, ())
+    for name in AUGMENTATION_NAMES
 }
 _INT_KEYS = {"random_erasing": ("max_rects",)}
 
@@ -134,6 +144,30 @@ def _validate_entry(entry: PolicyEntry, line_no: int | None = None) -> None:
     for key in entry.params:
         if key not in allowed:
             raise PolicyError(f"unknown parameter {key!r} for {entry.name}{where}")
+    if entry.params:  # the defaults pass every check
+        _check_params(entry.name, entry.params, where)
+
+
+def _check_params(name: str, params: dict, where: str) -> None:
+    """Overrides are finite, merged ranges are ordered, sigma, scale,
+    area and aspect are positive, the erase area is at most 1, and the
+    erasing budget is usable."""
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise PolicyError(f"{key}={value} is not finite{where}")
+    for prefix, default in _RANGES.get(name, ()):
+        lo, hi = _range(params, f"{prefix}_min", f"{prefix}_max", default)
+        if lo > hi:
+            raise PolicyError(f"{prefix}_min={lo} exceeds {prefix}_max={hi}{where}")
+        if prefix in _POSITIVE_RANGES and lo <= 0:
+            raise PolicyError(f"{prefix}_min={lo} must be > 0{where}")
+    if name == "random_erasing":
+        if params.get("area_max", augment.ERASE_AREA_RANGE[1]) > 1:
+            raise PolicyError(f"area_max={params['area_max']} must be <= 1{where}")
+        if not 0 < params.get("min_fraction", augment.ERASE_MIN_FRACTION) < 0.5:
+            raise PolicyError(f"min_fraction={params['min_fraction']} must be in (0, 0.5){where}")
+        if params.get("max_rects", augment.ERASE_MAX_RECTS) < 1:
+            raise PolicyError(f"max_rects={params['max_rects']} must be >= 1{where}")
 
 
 def validate_policy(policy: Policy) -> None:
@@ -143,6 +177,8 @@ def validate_policy(policy: Policy) -> None:
             raise PolicyError(f"duplicate augmentation {entry.name!r}")
         seen.add(entry.name)
         _validate_entry(entry)
+    if not math.isfinite(policy.theta):
+        raise PolicyError(f"theta={policy.theta} is not finite")
     if not 0 <= policy.master_seed < 2 ** 64:
         raise PolicyError(f"seed {policy.master_seed} out of u64 range")
 
@@ -278,6 +314,8 @@ def load_policy(text: str | bytes) -> Policy:
                     policy.theta = float(value)
                 except ValueError:
                     raise PolicyError(f"invalid theta {value!r} (line {line_no})") from None
+                if not math.isfinite(policy.theta):
+                    raise PolicyError(f"theta={value} is not finite (line {line_no})")
             else:
                 policy.soil_bank_path = value.strip()
             continue

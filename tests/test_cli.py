@@ -95,6 +95,17 @@ class TestAugmentCommand:
         assert code == 2
         assert "nope.txt" in capsys.readouterr().err
 
+    def test_bad_policy_parameter_is_usage_error(self, workspace, capsys):
+        (workspace / "bad.policy").write_text("seed=3\ngaussian_blur 1.0 sigma_min=-1 sigma_max=-0.5\n")
+        code = cli.main([
+            "augment", "--input", str(workspace / "in"),
+            "--output", str(workspace / "out"),
+            "--policy", str(workspace / "bad.policy"),
+        ])
+        assert code == 2
+        assert "sigma_min=-1.0 must be > 0 (line 2)" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
     def test_empty_input_succeeds_with_zero_outputs(self, workspace):
         (workspace / "empty").mkdir()
         code = cli.main([
@@ -117,6 +128,52 @@ class TestAugmentCommand:
         assert "bad.ppm" in capsys.readouterr().err
         # good files were still processed
         assert (workspace / "out" / "img_000.v1.ppm").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_any_failure_reported_per_file(self, workspace, capsys, monkeypatch, workers):
+        make_views = cli.make_views
+
+        def failing_make_views(img, pol, index, soil_bank=None):
+            if index == 1:
+                raise RuntimeError("boom")
+            return make_views(img, pol, index, soil_bank=soil_bank)
+
+        monkeypatch.setattr(cli, "make_views", failing_make_views)
+        code = cli.main([
+            "augment", "--input", str(workspace / "in"),
+            "--output", str(workspace / "out"),
+            "--policy", str(workspace / "policy.txt"),
+            "--workers", str(workers),
+        ])
+        assert code == 1
+        assert "error: img_001.ppm: RuntimeError: boom" in capsys.readouterr().err
+        # the other inputs' views exist; nothing partial or temporary is left
+        names = sorted(p.name for p in (workspace / "out").iterdir())
+        assert names == [f"img_{i:03d}.v{k}.ppm" for i in (0, 2, 3) for k in (1, 2)]
+        manifest = (workspace / "out.manifest.txt").read_text()
+        assert "views_written=6" in manifest and "failed=1" in manifest
+
+    def test_failed_write_leaves_no_partial_views(self, workspace, capsys, monkeypatch):
+        calls = []
+        save_ppm = cli.save_ppm
+
+        def failing_second_save(img):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return save_ppm(img)
+
+        monkeypatch.setattr(cli, "save_ppm", failing_second_save)
+        code = cli.main([
+            "augment", "--input", str(workspace / "in"),
+            "--output", str(workspace / "out"),
+            "--policy", str(workspace / "policy.txt"),
+        ])
+        assert code == 1
+        assert "error: img_000.ppm: OSError: disk full" in capsys.readouterr().err
+        # the first view of img_000 was written to a temp file, then removed
+        names = sorted(p.name for p in (workspace / "out").iterdir())
+        assert names == [f"img_{i:03d}.v{k}.ppm" for i in (1, 2, 3) for k in (1, 2)]
 
     def test_seed_flag_changes_views(self, workspace):
         for seed, out in ((1, "s1"), (2, "s2")):

@@ -33,6 +33,13 @@ class TestPpmCodec:
         with pytest.raises(ic.CodecError, match="width"):
             ic.load_ppm(b"P6\nx 1\n255\n\x00\x00\x00")
 
+    def test_trailing_bytes_rejected(self, random_image):
+        with pytest.raises(ic.CodecError, match="7 trailing bytes"):
+            ic.load_ppm(ic.save_ppm(random_image) + b"garbage")
+        # a second image appended is trailing data too
+        with pytest.raises(ic.CodecError, match="trailing"):
+            ic.load_ppm(ic.save_ppm(random_image) * 2)
+
     def test_canonical_encoding(self):
         black = np.zeros((1, 1, 3), np.uint8)
         assert ic.save_ppm(black) == b"P6\n1 1\n255\n\x00\x00\x00"
@@ -61,6 +68,11 @@ class TestPgmCodec:
     def test_bad_magic(self):
         with pytest.raises(ic.CodecError, match="magic"):
             ic.load_pgm(b"P6\n1 1\n255\n\x00\x00\x00")
+
+    def test_trailing_bytes_rejected(self):
+        data = ic.save_pgm(np.zeros((2, 3), np.uint8)) + b"\n"
+        with pytest.raises(ic.CodecError, match="1 trailing bytes"):
+            ic.load_pgm(data)
 
 
 class TestByteConversion:

@@ -220,3 +220,44 @@ class TestPolicyText:
         delta_heavy = np.abs(heavy.astype(int) - plant_image.astype(int)).sum()
         delta_light = np.abs(light.astype(int) - plant_image.astype(int)).sum()
         assert delta_heavy > delta_light
+
+
+class TestParameterConstraints:
+    @pytest.mark.parametrize("entry, message", [
+        ("gaussian_blur 1.0 sigma_min=-1 sigma_max=-0.5", "sigma_min=-1.0 must be > 0"),
+        ("affine 1.0 scale_min=0 scale_max=0", "scale_min=0.0 must be > 0"),
+        ("random_erasing 1.0 aspect_min=-1 aspect_max=-0.5", "aspect_min=-1.0 must be > 0"),
+        ("color_jitter 1.0 brightness_min=2 brightness_max=1", "brightness_min=2.0 exceeds"),
+        ("affine 1.0 scale_min=3", "scale_min=3.0 exceeds scale_max=2.0"),
+        ("color_jitter 1.0 hue_max=nan", "hue_max=nan is not finite"),
+        ("affine 1.0 translate_frac=inf", "translate_frac=inf is not finite"),
+        ("random_erasing 1.0 area_min=0", "area_min=0.0 must be > 0"),
+        ("random_erasing 1.0 area_max=1.5", "area_max=1.5 must be <= 1"),
+        ("random_erasing 1.0 min_fraction=0", r"min_fraction=0.0 must be in \(0, 0.5\)"),
+        ("random_erasing 1.0 min_fraction=0.5", r"min_fraction=0.5 must be in \(0, 0.5\)"),
+        ("random_erasing 1.0 max_rects=0", "max_rects=0 must be >= 1"),
+    ])
+    def test_bad_parameters_fail_at_load_with_line(self, entry, message):
+        with pytest.raises(PolicyError, match=f"{message}.*\\(line 3\\)"):
+            load_policy(f"# header\nseed=1\n{entry}\n")
+
+    def test_non_finite_theta(self):
+        with pytest.raises(PolicyError, match=r"theta=nan is not finite \(line 1\)"):
+            load_policy("theta=nan\n")
+        pol = default_policy()
+        pol.theta = float("inf")
+        with pytest.raises(PolicyError, match="theta"):
+            save_policy(pol)
+
+    def test_constructed_policies_are_checked_too(self, plant_image):
+        pol = Policy(entries=[PolicyEntry("gaussian_blur", 1.0, {"sigma_min": 0.0})])
+        with pytest.raises(PolicyError, match="sigma_min"):
+            apply_policy(plant_image, pol, RandomStream(0))
+
+    def test_boundary_values_load(self):
+        pol = load_policy(
+            "random_erasing 1.0 area_min=1 area_max=1 min_fraction=0.49 max_rects=1\n"
+            "gaussian_blur 1.0 sigma_min=0.5 sigma_max=0.5\n"
+            "color_jitter 1.0 brightness_min=-1 brightness_max=-1 hue_min=-0.5\n"
+        )
+        assert [e.name for e in pol.entries] == ["random_erasing", "gaussian_blur", "color_jitter"]
