@@ -152,7 +152,10 @@ def apply_affine(img: np.ndarray, p: AffineParams) -> np.ndarray:
     src_x = inv[0, 0] * dx + inv[0, 1] * dy + cx
     src_y = inv[1, 0] * dx + inv[1, 1] * dy + cy
 
-    fill = img.reshape(-1, 3).mean(axis=0)
+    # the channel mean: integer sums are exact, so this equals
+    # img.reshape(-1, 3).mean(axis=0) byte for byte
+    planes = np.ascontiguousarray(img.reshape(-1, 3).T)
+    fill = planes.sum(axis=1, dtype=np.int64) / (h * w)
     sampled = bilinear_sample_grid(img, src_x, src_y, fill)
     return u8_from_float(sampled)
 

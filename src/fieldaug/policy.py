@@ -153,7 +153,8 @@ def _check_params(name: str, params: dict, where: str) -> None:
     area and aspect are positive, the erase area is at most 1, and the
     erasing budget is usable."""
     for key, value in params.items():
-        if not math.isfinite(value):
+        # ints are finite, and isfinite overflows on those beyond float range
+        if not isinstance(value, int) and not math.isfinite(value):
             raise PolicyError(f"{key}={value} is not finite{where}")
     for prefix, default in _RANGES.get(name, ()):
         lo, hi = _range(params, f"{prefix}_min", f"{prefix}_max", default)

@@ -44,6 +44,7 @@ __all__ = [
     "TinyModel",
     "Checkpoint",
     "CheckpointError",
+    "TrainingDiverged",
     "init_model",
     "prepare_batch",
     "forward",
@@ -90,9 +91,9 @@ class TrainConfig:
         for name in ("batch_size", "learning_rate", "weight_decay", "epochs",
                      "lam", "embed_dim", "input_size"):
             value = getattr(self, name)
-            if value is None or value <= 0:
-                if name == "weight_decay" and value == 0:
-                    continue
+            if value is None or not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0 and not (name == "weight_decay" and value == 0):
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 for batch statistics")
@@ -360,6 +361,17 @@ def backward(model: TinyModel, view1, view2,
     return loss, grad
 
 
+class TrainingDiverged(RuntimeError):
+    """A step's loss or gradient is not finite. ``step`` is the number of
+    steps completed before it; from :func:`pretrain`, ``trace`` holds
+    their rows."""
+
+    def __init__(self, step: int, trace=()):
+        super().__init__(f"non-finite loss or gradient at step {step}")
+        self.step = step
+        self.trace = list(trace)
+
+
 def train_step(model: TinyModel, view1, view2, cfg: TrainConfig):
     """One SGD step with decoupled weight decay, in place. Returns
     (loss, diag_mean, offdiag_mean) of the step's cross-correlation."""
@@ -368,7 +380,7 @@ def train_step(model: TinyModel, view1, view2, cfg: TrainConfig):
         model, view1, view2, cfg.lam, update_stats=True
     )
     if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-        raise RuntimeError(f"non-finite loss or gradient at step {model.step}")
+        raise TrainingDiverged(model.step)
     model.params -= cfg.learning_rate * (grad + cfg.weight_decay * model.params)
     model.step += 1
     return loss, dmean, omean
@@ -393,7 +405,9 @@ def pretrain(dataset, policy: Policy, cfg: TrainConfig,
     Views for image i in epoch e are derived from global index
     e * len(dataset) + i, so they vary across epochs yet stay independent
     of shuffle order and worker count. Returns (checkpoint, trace) where
-    trace rows are (step, loss, diag_mean, offdiag_mean).
+    trace rows are (step, loss, diag_mean, offdiag_mean). A step with a
+    non-finite loss or gradient raises :class:`TrainingDiverged` carrying
+    the trace so far.
     """
     cfg.validate()
     n = len(dataset)
@@ -414,7 +428,10 @@ def pretrain(dataset, policy: Policy, cfg: TrainConfig,
                 views2.append(v2)
             x1 = prepare_batch(views1, cfg.input_size)
             x2 = prepare_batch(views2, cfg.input_size)
-            loss, dmean, omean = train_step(model, x1, x2, cfg)
+            try:
+                loss, dmean, omean = train_step(model, x1, x2, cfg)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(exc.step, trace) from None
             trace.append((model.step, loss, dmean, omean))
             steps_done += 1
             if cfg.max_steps is not None and steps_done >= cfg.max_steps:
@@ -506,6 +523,10 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         lam=lam, seed=seed, embed_dim=embed_dim, input_size=input_size,
         max_steps=max_steps or None,
     )
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"invalid config: {exc}") from None
 
     (param_count,), pos = take("<Q", pos)
     expected = sum(int(np.prod(s)) for _, s in _param_specs(input_size * input_size * 3, embed_dim))
@@ -696,5 +717,9 @@ def load_train_config(text: str | bytes) -> TrainConfig:
                 setattr(cfg, key, int(value))
         except ValueError:
             raise ValueError(f"invalid value for {key} (line {line_no}): {value!r}") from None
-    cfg.validate()
+        # the defaults are valid, so a failure here is this line's value
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise ValueError(f"{exc} (line {line_no})") from None
     return cfg

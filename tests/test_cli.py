@@ -1,6 +1,13 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fieldaug
 from fieldaug import cli, metrics as mx, tinytrain as tt
 from fieldaug.imagecore import save_ppm
 from fieldaug.policy import default_policy, save_policy
@@ -251,6 +258,43 @@ class TestPretrainCommand:
         ])
         assert code == 0
 
+    def test_non_finite_config_value_is_usage_error_with_line(self, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("batch_size=8\nlearning_rate=nan\nlam=inf\n")
+        policy = tmp_path / "policy.txt"
+        policy.write_text("gaussian_blur 0.9\n")
+        code = cli.main([
+            "pretrain", "--synthetic", "16", "--policy", str(policy),
+            "--config", str(config), "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        assert "learning_rate must be finite, got nan (line 2)" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_diverged_run_keeps_partial_trace(self, tmp_path):
+        config = tmp_path / "train.cfg"
+        config.write_text(
+            "batch_size=8\nepochs=5\nlearning_rate=1e200\nembed_dim=4\n"
+            "input_size=8\nseed=5\n"
+        )
+        policy = tmp_path / "policy.txt"
+        policy.write_text("gaussian_blur 0.9\n")
+        ckpt_path = tmp_path / "model.ckpt"
+        with np.errstate(all="ignore"):
+            code = cli.main([
+                "pretrain", "--synthetic", "16", "--policy", str(policy),
+                "--config", str(config), "--out", str(ckpt_path),
+            ])
+        assert code == 1
+        assert not ckpt_path.exists()
+        trace = (tmp_path / "model.ckpt.trace.csv").read_text().splitlines()
+        assert trace[0] == "step,loss,diag_mean,offdiag_mean"
+        assert [row.split(",")[0] for row in trace[1:]] == ["1"]
+        manifest = (tmp_path / "model.ckpt.manifest.txt").read_text().splitlines()
+        assert "failed_step=1" in manifest
+        assert "status=error" in manifest
+        assert "error=TrainingDiverged: non-finite loss or gradient at step 1" in manifest
+
     def test_dataset_smaller_than_batch_is_usage_error(self, tmp_path):
         policy = tmp_path / "policy.txt"
         policy.write_text("gaussian_blur 0.9\n")
@@ -272,6 +316,90 @@ def count_pools(monkeypatch) -> list:
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
     return pools
+
+
+# Counts the minor page faults per view of a second `augment` call in a
+# fresh process, so that the allocator starts at its defaults (the inputs
+# are written by the test process). In "main" mode the first `cli.main`
+# call sets the allocator; "task" mode runs the same per-file work
+# without it.
+_FAULTS_SCRIPT = """
+import resource, sys
+from pathlib import Path
+from fieldaug import cli
+mode, root, outputs = sys.argv[1], Path(sys.argv[2]), Path(sys.argv[3])
+inputs = sorted((root / "in").glob("*.ppm"))
+
+def augment(out):
+    if mode == "main":
+        assert cli.main(["augment", "--input", str(root / "in"), "--output",
+                         str(outputs / out), "--policy", str(root / "p.policy")]) == 0
+        return
+    (outputs / out).mkdir()
+    for i, path in enumerate(inputs):
+        task = (i, str(path), str(outputs / out), str(root / "p.policy"), None)
+        assert cli._augment_task(task)[1] == ""
+
+augment("warm")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+augment("out")
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (2 * len(inputs)))
+"""
+
+
+def faults_per_view(mode: str, inputs, outputs) -> float:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    src = str(Path(fieldaug.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_SCRIPT, mode, str(inputs), str(outputs)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return float(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def field_inputs(tmp_path_factory):
+    """Four 128 px images, a 16 px soil bank and the default policy."""
+    root = tmp_path_factory.mktemp("field")
+    (root / "in").mkdir()
+    (root / "bank").mkdir()
+    for i, img in enumerate(tt.make_synthetic_corpus(4, size=128, seed=1)):
+        (root / "in" / f"img_{i}.ppm").write_bytes(save_ppm(img))
+    for i, img in enumerate(tt.make_synthetic_soil(32, size=16, seed=2)):
+        (root / "bank" / f"soil_{i}.ppm").write_bytes(save_ppm(img))
+    write_policy(root / "p.policy", "bank")
+    return root
+
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="glibc allocator settings")
+
+
+class TestFreedMemory:
+    @glibc_only
+    def test_cli_views_do_not_fault_after_warm_up(self, field_inputs, tmp_path):
+        assert faults_per_view("main", field_inputs, tmp_path) < 100
+
+    @glibc_only
+    def test_importing_and_using_the_library_keeps_allocator_defaults(self, field_inputs,
+                                                                      tmp_path):
+        # the same per-file work with `cli` imported but `main` never
+        # called faults every temporary in again
+        assert faults_per_view("task", field_inputs, tmp_path) > 1000
+
+    def test_pool_workers_set_the_allocator(self, monkeypatch):
+        initializers = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                initializers.append(kwargs.get("initializer"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        with cli._worker_pool(2) as pool:
+            assert pool is not None
+        assert initializers == [cli._keep_freed_memory]
 
 
 class TestBenchCommand:

@@ -175,6 +175,24 @@ def test_apply_affine_unchanged_on_small_shapes(h, w, monkeypatch):
     assert_same_bytes(fast, A.apply_affine(img, p))
 
 
+@pytest.mark.parametrize("h,w", ((1, 1), (1, 5), (7, 23), (128, 128)))
+@pytest.mark.parametrize("kind", ["zeros", "full", "random"])
+def test_apply_affine_fill_is_the_float_channel_mean(h, w, kind, monkeypatch):
+    if kind == "random":
+        img = np.random.default_rng(h * w).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    else:
+        img = np.full((h, w, 3), 0 if kind == "zeros" else 255, np.uint8)
+    fills = []
+
+    def recording_sample_grid(img, xs, ys, fill):
+        fills.append(fill)
+        return ic.bilinear_sample_grid(img, xs, ys, fill)
+
+    monkeypatch.setattr(A, "bilinear_sample_grid", recording_sample_grid)
+    A.apply_affine(img, A.AffineParams(1.1, 0.3, 0.1, 0.0, 1.0, -1.0))
+    assert_same_bytes(fills[0], img.reshape(-1, 3).mean(axis=0))
+
+
 @pytest.mark.parametrize("h,w", SHAPES)
 def test_same_size_resize_is_a_copy_equal_to_the_grid_sample(h, w):
     img = np.random.default_rng(h * w).integers(0, 256, size=(h, w, 3), dtype=np.uint8)

@@ -130,11 +130,15 @@ class TestTrainStep:
 
     def test_non_finite_loss_aborts_with_diagnostic(self):
         model = small_model()
+        model.step = 6
         model.params[0] = np.inf
         x1, x2 = small_batch(model, seed=2), small_batch(model, seed=3)
         cfg = tt.TrainConfig(batch_size=4, input_size=4, embed_dim=4, learning_rate=0.01)
-        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite"):
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite") as info:
             tt.train_step(model, x1, x2, cfg)
+        assert isinstance(info.value, tt.TrainingDiverged)
+        assert str(info.value) == "non-finite loss or gradient at step 6"
+        assert info.value.step == 6 and info.value.trace == []
 
     def test_two_runs_identical(self):
         runs = []
@@ -180,6 +184,18 @@ class TestPretrain:
         ckpt, trace = tt.pretrain(corpus, tiny_policy(3), cfg)
         assert ckpt.step == 5 and len(trace) == 5
 
+    def test_divergence_keeps_the_trace_so_far(self):
+        corpus = tt.make_synthetic_corpus(12, size=8, seed=1)
+        cfg = tt.TrainConfig(batch_size=4, input_size=8, embed_dim=4,
+                             learning_rate=1e200, epochs=5, seed=9)
+        with np.errstate(all="ignore"), pytest.raises(tt.TrainingDiverged) as info:
+            tt.pretrain(corpus, tiny_policy(3), cfg)
+        exc = info.value
+        assert str(exc) == f"non-finite loss or gradient at step {exc.step}"
+        assert exc.step == len(exc.trace) == 1
+        assert [row[0] for row in exc.trace] == [1]
+        assert np.isfinite(exc.trace[0][1])
+
     def test_bit_reproducible(self):
         corpus = tt.make_synthetic_corpus(8, size=8, seed=2)
         cfg = tt.TrainConfig(batch_size=4, input_size=8, embed_dim=4,
@@ -217,6 +233,20 @@ class TestCheckpointCodec:
         blob[4] = 99
         with pytest.raises(tt.CheckpointError, match="version"):
             tt.load_checkpoint(bytes(blob))
+
+    @pytest.mark.parametrize("config", [
+        {"batch_size": 1, "learning_rate": -3.0},
+        {"learning_rate": float("nan")},
+        {"lam": float("inf")},
+        {"epochs": 0},
+        {"weight_decay": -1e-6},
+    ])
+    def test_invalid_config_rejected(self, config):
+        ckpt = tt.make_checkpoint(small_model(), tt.TrainConfig(input_size=4, embed_dim=4))
+        for key, value in config.items():
+            setattr(ckpt.config, key, value)
+        with pytest.raises(tt.CheckpointError, match="invalid config"):
+            tt.load_checkpoint(tt.save_checkpoint(ckpt))
 
     def test_trailing_bytes_rejected(self):
         blob = tt.save_checkpoint(tt.make_checkpoint(small_model(), tt.TrainConfig(input_size=4, embed_dim=4)))
@@ -271,3 +301,19 @@ class TestTrainConfigText:
     def test_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
             tt.TrainConfig(batch_size=1).validate()
+
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "lam"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            tt.TrainConfig(**{name: value}).validate()
+
+    def test_non_finite_text_rejected_with_line(self):
+        with pytest.raises(ValueError, match=r"learning_rate must be finite, got nan \(line 2\)"):
+            tt.load_train_config("# cfg\nlearning_rate=nan\nlam=inf\n")
+        with pytest.raises(ValueError, match=r"lam must be finite, got inf \(line 1\)"):
+            tt.load_train_config("lam=inf\n")
+
+    def test_invalid_value_reported_with_line(self):
+        with pytest.raises(ValueError, match=r"batch_size must be >= 2 .*\(line 3\)"):
+            tt.load_train_config("epochs=2\n\nbatch_size=1\n")
