@@ -37,6 +37,7 @@ from .policy import (
     load_policy,
     make_views,
     save_policy,
+    validate_policy,
 )
 from .rng import RandomStream, derive_seed
 
@@ -95,6 +96,10 @@ def _load_policy_and_bank(policy_path: Path, seed_override: int | None,
         raise UsageError(f"{policy_path}: {exc}") from exc
     if seed_override is not None:
         pol.master_seed = seed_override
+        try:
+            validate_policy(pol)
+        except PolicyError as exc:
+            raise UsageError(f"--seed: {exc}") from exc
     bank = None
     if any(e.name == "background_invariance" for e in pol.entries):
         if not pol.soil_bank_path:
@@ -197,18 +202,18 @@ def _synthesize_bank(size: int, seed: int) -> augment.SoilBank:
 # augment
 # ---------------------------------------------------------------------------
 
-def _write_views(out_dir: Path, stem: str, views) -> None:
-    """Write ``<stem>.v<k>.ppm`` for each view through temp files in
-    ``out_dir`` renamed into place once all are written, so a failure
-    leaves neither a partial view nor a temp file behind."""
-    temps = [out_dir / f".{stem}.v{k}.{os.getpid()}.tmp" for k in range(1, len(views) + 1)]
+def _write_files(files: dict) -> None:
+    """Write each path's bytes to a temp file beside it, then rename every
+    temp into place, so a failure leaves neither a partial file nor a
+    temp file behind."""
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     try:
-        for temp, view in zip(temps, views):
-            temp.write_bytes(save_ppm(view))
-        for k, temp in enumerate(temps, start=1):
-            os.replace(temp, out_dir / f"{stem}.v{k}.ppm")
+        for path, data in files.items():
+            temps[path].write_bytes(data)
+        for path, temp in temps.items():
+            os.replace(temp, path)
     finally:
-        for temp in temps:
+        for temp in temps.values():
             temp.unlink(missing_ok=True)
 
 
@@ -221,7 +226,10 @@ def _augment_task(task) -> tuple[str, str]:
     try:
         img = load_ppm(in_path.read_bytes())
         views = make_views(img, pol, index, soil_bank=bank)
-        _write_views(Path(out_dir), in_path.stem, views)
+        _write_files({
+            Path(out_dir) / f"{in_path.stem}.v{k}.ppm": save_ppm(view)
+            for k, view in enumerate(views, start=1)
+        })
     except Exception as exc:  # noqa: BLE001 - reported per file, exit 1
         return in_path.name, f"{type(exc).__name__}: {exc}"
     return in_path.name, ""
@@ -346,6 +354,10 @@ def _cmd_pretrain(args, manifest: Manifest) -> int:
             raise UsageError(f"{config_path}: {exc}") from exc
     if args.seed is not None:
         cfg.seed = args.seed
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise UsageError(f"--seed: {exc}") from exc
 
     policy_path = Path(args.policy)
     synthetic = args.synthetic is not None
@@ -368,13 +380,15 @@ def _cmd_pretrain(args, manifest: Manifest) -> int:
     try:
         ckpt, trace = tinytrain.pretrain(dataset, pol, cfg, soil_bank=bank)
     except tinytrain.TrainingDiverged as exc:
-        # keep the steps that ran; no checkpoint of a diverged model
+        # keep the steps that ran; no checkpoint of a diverged model, nor
+        # an earlier run's that the new trace does not describe
+        out_path.unlink(missing_ok=True)
         _write_trace(trace_path, exc.trace)
         manifest.add("trace_csv", trace_path)
         manifest.add("failed_step", exc.step)
         raise
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(tinytrain.save_checkpoint(ckpt))
+    _write_files({out_path: tinytrain.save_checkpoint(ckpt)})
     _write_trace(trace_path, trace)
 
     manifest.add("checkpoint", out_path)
@@ -439,13 +453,7 @@ def _bench_task(task) -> None:
     in_path, policy_path, seed_override, index, only_entry = task
     pol, bank = _cached_policy(policy_path, seed_override)
     if only_entry is not None:
-        entry = next(e for e in pol.entries if e.name == only_entry)
-        pol = Policy(
-            entries=[PolicyEntry(entry.name, 1.0, dict(entry.params))],
-            master_seed=pol.master_seed,
-            theta=pol.theta,
-            soil_bank_path=pol.soil_bank_path,
-        )
+        pol = _cell_policy(pol, (only_entry,))
     img = load_ppm(Path(in_path).read_bytes())
     stream = RandomStream(derive_seed(pol.master_seed, index))
     apply_policy(img, pol, stream, soil_bank=bank)

@@ -27,7 +27,9 @@ and sorts override keys.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,7 @@ __all__ = [
     "PolicyEntry",
     "Policy",
     "AUGMENTATION_NAMES",
+    "PARAMETERS",
     "DEFAULT_PROBABILITIES",
     "default_policy",
     "apply_policy",
@@ -50,15 +53,6 @@ __all__ = [
     "RandomStream",
     "derive_seed",
 ]
-
-AUGMENTATION_NAMES = (
-    "affine",
-    "color_jitter",
-    "gaussian_blur",
-    "mixing",
-    "random_erasing",
-    "background_invariance",
-)
 
 # Application probabilities, and the default order below: background work
 # first so color changes cannot corrupt the vegetation mask.
@@ -80,32 +74,36 @@ DEFAULT_ORDER = (
     "random_erasing",
 )
 
-# Sampled ranges per augmentation: key prefix and default range. A policy
-# may override either end through ``<prefix>_min`` / ``<prefix>_max``; the
-# validator checks the merged range.
-_RANGES = {
-    "affine": (
-        ("scale", augment.SCALE_RANGE), ("rotation", augment.ROTATION_RANGE),
-        ("shear", augment.SHEAR_RANGE),
-    ),
-    "color_jitter": (
-        ("brightness", augment.BRIGHTNESS_RANGE), ("contrast", augment.CONTRAST_RANGE),
-        ("saturation", augment.SATURATION_RANGE), ("hue", augment.HUE_RANGE),
-    ),
-    "gaussian_blur": (("sigma", augment.SIGMA_RANGE),),
-    "random_erasing": (
-        ("area", augment.ERASE_AREA_RANGE), ("aspect", augment.ERASE_ASPECT_RANGE),
-    ),
+# Each augmentation's parameters as (default, bounds), in the order the
+# checks run. A tuple default is a range that a policy overrides through
+# ``<key>_min`` / ``<key>_max``; an int default makes an integer key. The
+# bounds map a comparison to its limit ("in" is an open interval) and hold
+# for a value or for both ends of a range.
+PARAMETERS = {
+    "affine": {
+        "scale": (augment.SCALE_RANGE, {">": 0}),
+        "rotation": (augment.ROTATION_RANGE, {}),
+        "shear": (augment.SHEAR_RANGE, {}),
+        "translate_frac": (augment.TRANSLATE_FRAC, {}),
+    },
+    "color_jitter": {
+        "brightness": (augment.BRIGHTNESS_RANGE, {}),
+        "contrast": (augment.CONTRAST_RANGE, {}),
+        "saturation": (augment.SATURATION_RANGE, {}),
+        "hue": (augment.HUE_RANGE, {}),
+    },
+    # blur time and memory grow linearly with sigma; 32 is a radius of 96
+    "gaussian_blur": {"sigma": (augment.SIGMA_RANGE, {">": 0, "<=": 32})},
+    "mixing": {},
+    "random_erasing": {
+        "area": (augment.ERASE_AREA_RANGE, {">": 0, "<=": 1}),
+        "aspect": (augment.ERASE_ASPECT_RANGE, {">": 0}),
+        "min_fraction": (augment.ERASE_MIN_FRACTION, {"in": (0, 0.5)}),
+        "max_rects": (augment.ERASE_MAX_RECTS, {">=": 1}),
+    },
+    "background_invariance": {},
 }
-_POSITIVE_RANGES = ("scale", "sigma", "area", "aspect")
-_SCALAR_KEYS = {"affine": ("translate_frac",), "random_erasing": ("min_fraction",)}
-_FLOAT_KEYS = {
-    name: tuple(
-        f"{prefix}_{end}" for prefix, _ in _RANGES.get(name, ()) for end in ("min", "max")
-    ) + _SCALAR_KEYS.get(name, ())
-    for name in AUGMENTATION_NAMES
-}
-_INT_KEYS = {"random_erasing": ("max_rects",)}
+AUGMENTATION_NAMES = tuple(PARAMETERS)
 
 
 class PolicyError(ValueError):
@@ -140,7 +138,7 @@ def _validate_entry(entry: PolicyEntry, line_no: int | None = None) -> None:
         raise PolicyError(
             f"probability {entry.probability} out of range [0, 1]{where}"
         )
-    allowed = set(_FLOAT_KEYS[entry.name]) | set(_INT_KEYS.get(entry.name, ()))
+    allowed = _override_defaults(entry.name)
     for key in entry.params:
         if key not in allowed:
             raise PolicyError(f"unknown parameter {key!r} for {entry.name}{where}")
@@ -148,27 +146,58 @@ def _validate_entry(entry: PolicyEntry, line_no: int | None = None) -> None:
         _check_params(entry.name, entry.params, where)
 
 
+@functools.cache
+def _override_defaults(name: str) -> dict:
+    """Each key a policy entry of ``name`` may set, with its default."""
+    defaults = {}
+    for key, (default, _) in PARAMETERS[name].items():
+        if isinstance(default, tuple):
+            defaults[f"{key}_min"], defaults[f"{key}_max"] = default
+        else:
+            defaults[key] = default
+    return defaults
+
+
+def _merged(name: str, params: dict) -> dict:
+    """Each parameter of ``name`` with the overrides in ``params``; a
+    range is a ``(lo, hi)`` tuple."""
+    values = {}
+    for key, (default, _) in PARAMETERS[name].items():
+        if isinstance(default, tuple):
+            values[key] = (params.get(f"{key}_min", default[0]), params.get(f"{key}_max", default[1]))
+        else:
+            values[key] = params.get(key, default)
+    return values
+
+
+_COMPARE = {
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<=": operator.le,
+    "in": lambda value, interval: interval[0] < value < interval[1],
+}
+
+
 def _check_params(name: str, params: dict, where: str) -> None:
-    """Overrides are finite, merged ranges are ordered, sigma, scale,
-    area and aspect are positive, the erase area is at most 1, and the
-    erasing budget is usable."""
+    """Overrides are finite, merged ranges are ordered, and both ends of a
+    range, or a single value, keep the bounds of their parameter."""
     for key, value in params.items():
         # ints are finite, and isfinite overflows on those beyond float range
         if not isinstance(value, int) and not math.isfinite(value):
             raise PolicyError(f"{key}={value} is not finite{where}")
-    for prefix, default in _RANGES.get(name, ()):
-        lo, hi = _range(params, f"{prefix}_min", f"{prefix}_max", default)
-        if lo > hi:
-            raise PolicyError(f"{prefix}_min={lo} exceeds {prefix}_max={hi}{where}")
-        if prefix in _POSITIVE_RANGES and lo <= 0:
-            raise PolicyError(f"{prefix}_min={lo} must be > 0{where}")
-    if name == "random_erasing":
-        if params.get("area_max", augment.ERASE_AREA_RANGE[1]) > 1:
-            raise PolicyError(f"area_max={params['area_max']} must be <= 1{where}")
-        if not 0 < params.get("min_fraction", augment.ERASE_MIN_FRACTION) < 0.5:
-            raise PolicyError(f"min_fraction={params['min_fraction']} must be in (0, 0.5){where}")
-        if params.get("max_rects", augment.ERASE_MAX_RECTS) < 1:
-            raise PolicyError(f"max_rects={params['max_rects']} must be >= 1{where}")
+    for key, merged in _merged(name, params).items():
+        default, bounds = PARAMETERS[name][key]
+        if isinstance(default, tuple):
+            lo, hi = merged
+            if lo > hi:
+                raise PolicyError(f"{key}_min={lo} exceeds {key}_max={hi}{where}")
+            ends = (("_min", lo), ("_max", hi))
+        else:
+            ends = (("", merged),)
+        for suffix, value in ends:
+            for symbol, limit in bounds.items():
+                if not _COMPARE[symbol](value, limit):
+                    raise PolicyError(f"{key}{suffix}={value} must be {symbol} {limit}{where}")
 
 
 def validate_policy(policy: Policy) -> None:
@@ -188,53 +217,49 @@ def validate_policy(policy: Policy) -> None:
 # application
 # ---------------------------------------------------------------------------
 
-def _range(params: dict, lo_key: str, hi_key: str, default: tuple[float, float]):
-    return (params.get(lo_key, default[0]), params.get(hi_key, default[1]))
-
-
-def _apply_affine(img, rng, params, theta, bank):
+def _apply_affine(img, rng, values, theta, bank):
     h, w = img.shape[:2]
     p = augment.sample_affine(
         rng, w, h,
-        scale_range=_range(params, "scale_min", "scale_max", augment.SCALE_RANGE),
-        rotation_range=_range(params, "rotation_min", "rotation_max", augment.ROTATION_RANGE),
-        shear_range=_range(params, "shear_min", "shear_max", augment.SHEAR_RANGE),
-        translate_frac=params.get("translate_frac", augment.TRANSLATE_FRAC),
+        scale_range=values["scale"],
+        rotation_range=values["rotation"],
+        shear_range=values["shear"],
+        translate_frac=values["translate_frac"],
     )
     return augment.apply_affine(img, p)
 
 
-def _apply_color_jitter(img, rng, params, theta, bank):
+def _apply_color_jitter(img, rng, values, theta, bank):
     p = augment.sample_color_jitter(
         rng,
-        brightness_range=_range(params, "brightness_min", "brightness_max", augment.BRIGHTNESS_RANGE),
-        contrast_range=_range(params, "contrast_min", "contrast_max", augment.CONTRAST_RANGE),
-        saturation_range=_range(params, "saturation_min", "saturation_max", augment.SATURATION_RANGE),
-        hue_range=_range(params, "hue_min", "hue_max", augment.HUE_RANGE),
+        brightness_range=values["brightness"],
+        contrast_range=values["contrast"],
+        saturation_range=values["saturation"],
+        hue_range=values["hue"],
     )
     return augment.color_jitter(img, p)
 
 
-def _apply_gaussian_blur(img, rng, params, theta, bank):
-    sigma = rng.uniform(*_range(params, "sigma_min", "sigma_max", augment.SIGMA_RANGE))
+def _apply_gaussian_blur(img, rng, values, theta, bank):
+    sigma = rng.uniform(*values["sigma"])
     return augment.gaussian_blur(img, sigma)
 
 
-def _apply_mixing(img, rng, params, theta, bank):
+def _apply_mixing(img, rng, values, theta, bank):
     return augment.mixing(img, rng)
 
 
-def _apply_random_erasing(img, rng, params, theta, bank):
+def _apply_random_erasing(img, rng, values, theta, bank):
     return augment.random_erasing(
         img, rng,
-        min_fraction=params.get("min_fraction", augment.ERASE_MIN_FRACTION),
-        area_range=_range(params, "area_min", "area_max", augment.ERASE_AREA_RANGE),
-        aspect_range=_range(params, "aspect_min", "aspect_max", augment.ERASE_ASPECT_RANGE),
-        max_rects=int(params.get("max_rects", augment.ERASE_MAX_RECTS)),
+        min_fraction=values["min_fraction"],
+        area_range=values["area"],
+        aspect_range=values["aspect"],
+        max_rects=int(values["max_rects"]),
     )
 
 
-def _apply_background_invariance(img, rng, params, theta, bank):
+def _apply_background_invariance(img, rng, values, theta, bank):
     return augment.background_invariance(img, bank, rng, theta)
 
 
@@ -268,7 +293,8 @@ def apply_policy(
     for entry in policy.entries:
         gate = stream.next_float64()
         if gate < entry.probability:
-            img = _APPLIERS[entry.name](img, stream, entry.params, policy.theta, soil_bank)
+            values = _merged(entry.name, entry.params)
+            img = _APPLIERS[entry.name](img, stream, values, policy.theta, soil_bank)
     return img
 
 
@@ -340,20 +366,12 @@ def load_policy(text: str | bytes) -> Policy:
             key, sep, value = token.partition("=")
             if not sep:
                 raise PolicyError(f"expected key=value, got {token!r} (line {line_no})")
-            if key in _INT_KEYS.get(name, ()):
-                try:
-                    params[key] = int(value)
-                except ValueError:
-                    raise PolicyError(
-                        f"invalid integer for {key}: {value!r} (line {line_no})"
-                    ) from None
-            else:
-                try:
-                    params[key] = float(value)
-                except ValueError:
-                    raise PolicyError(
-                        f"invalid number for {key}: {value!r} (line {line_no})"
-                    ) from None
+            integer = isinstance(_override_defaults(name).get(key), int)
+            try:
+                params[key] = int(value) if integer else float(value)
+            except ValueError:
+                kind = "integer" if integer else "number"
+                raise PolicyError(f"invalid {kind} for {key}: {value!r} (line {line_no})") from None
         entry = PolicyEntry(name=name, probability=probability, params=params)
         _validate_entry(entry, line_no)
         policy.entries.append(entry)

@@ -91,7 +91,8 @@ class TrainConfig:
         for name in ("batch_size", "learning_rate", "weight_decay", "epochs",
                      "lam", "embed_dim", "input_size"):
             value = getattr(self, name)
-            if value is None or not math.isfinite(value):
+            # ints are finite, and isfinite overflows on those beyond float range
+            if value is None or not isinstance(value, int) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             if value <= 0 and not (name == "weight_decay" and value == 0):
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -99,6 +100,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 for batch statistics")
         if self.max_steps is not None and self.max_steps <= 0:
             raise ValueError("max_steps must be positive when set")
+        # the widths save_checkpoint packs these fields into
+        for name, bits in (("batch_size", 32), ("epochs", 32), ("embed_dim", 32),
+                           ("input_size", 32), ("max_steps", 64)):
+            value = getattr(self, name)
+            if value is not None and value >= 2 ** bits:
+                raise ValueError(f"{name} must be < 2**{bits}, got {value}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 def _param_specs(in_dim: int, embed_dim: int):
@@ -231,10 +240,7 @@ def _as_input(model: TinyModel, batch) -> np.ndarray:
 
 def _bn_forward(x, gamma, beta, run_mean, run_std, training, update_stats):
     if training:
-        mean = x.mean(axis=0)
-        sigma = x.std(axis=0)
-        denom = sigma + twins.BN_EPS
-        xhat = (x - mean) / denom
+        xhat, mean, sigma, denom = twins._normalize_cache(x)
         if update_stats:
             run_mean *= 1.0 - BN_MOMENTUM
             run_mean += BN_MOMENTUM * mean
@@ -321,20 +327,6 @@ def _backward_view(model: TinyModel, cache, gz, grads) -> None:
     grads["enc1_b"] += g.sum(axis=0)
 
 
-def _loss_head(z1, z2, lam):
-    n = z1.shape[0]
-    y1, sigma1, denom1 = twins._normalize_cache(z1)
-    y2, sigma2, denom2 = twins._normalize_cache(z2)
-    c = y1.T @ y2 / n
-    diag = np.diag(c)
-    loss = float(((1.0 - diag) ** 2).sum() + lam * ((c - np.diag(diag)) ** 2).sum())
-    g_c = 2.0 * lam * c
-    np.fill_diagonal(g_c, -2.0 * (1.0 - diag))
-    gz1 = twins._normalize_backward(y2 @ g_c.T / n, y1, sigma1, denom1)
-    gz2 = twins._normalize_backward(y1 @ g_c / n, y2, sigma2, denom2)
-    return loss, gz1, gz2, twins.diag_mean(c), twins.offdiag_mean_abs(c)
-
-
 def _backward_stats(model, x1, x2, lam, update_stats):
     x1 = _as_input(model, x1)
     x2 = _as_input(model, x2)
@@ -344,13 +336,13 @@ def _backward_stats(model, x1, x2, lam, update_stats):
         raise ValueError("batch statistics need n >= 2")
     z1, cache1 = _forward_cached(model, x1, training=True, update_stats=update_stats)
     z2, cache2 = _forward_cached(model, x2, training=True, update_stats=update_stats)
-    loss, gz1, gz2, dmean, omean = _loss_head(z1, z2, lam)
+    loss, gz1, gz2, c = twins._bt_core(z1, z2, lam)
 
     grads = {name: np.zeros(shape) for name, shape in model.specs}
     _backward_view(model, cache1, gz1, grads)
     _backward_view(model, cache2, gz2, grads)
     flat = np.concatenate([grads[name].reshape(-1) for name, _ in model.specs])
-    return loss, flat, dmean, omean
+    return loss, flat, twins.diag_mean(c), twins.offdiag_mean_abs(c)
 
 
 def backward(model: TinyModel, view1, view2,
@@ -596,7 +588,7 @@ def model_grad_check(
     def loss_at():
         z1, _ = _forward_cached(model, x1, training=True, update_stats=False)
         z2, _ = _forward_cached(model, x2, training=True, update_stats=False)
-        return _loss_head(z1, z2, lam)[0]
+        return twins._bt_core(z1, z2, lam)[0]
 
     indices: list[int] = []
     offset = 0

@@ -46,7 +46,7 @@ def _normalize_cache(z: np.ndarray):
     mean = z.mean(axis=0)
     sigma = z.std(axis=0)  # population std
     denom = sigma + BN_EPS
-    return (z - mean) / denom, sigma, denom
+    return (z - mean) / denom, mean, sigma, denom
 
 
 def _normalize_backward(g: np.ndarray, y: np.ndarray, sigma: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -65,7 +65,7 @@ def _normalize_backward(g: np.ndarray, y: np.ndarray, sigma: np.ndarray, denom: 
 def batch_normalize(z: np.ndarray) -> np.ndarray:
     """Per dimension over the batch: (z - mean) / (population std + 1e-5)."""
     z = _as_batch(z)
-    normalized, _, _ = _normalize_cache(z)
+    normalized, _, _, _ = _normalize_cache(z)
     return normalized
 
 
@@ -98,6 +98,23 @@ def bt_loss(c: np.ndarray, lam: float = DEFAULT_LAMBDA) -> float:
     return invariance + lam * redundancy
 
 
+def _bt_core(z1: np.ndarray, z2: np.ndarray, lam: float):
+    """Unchecked loss and gradient of normalize -> cross-correlation ->
+    loss for float64 batches of equal shape. Returns (loss, dZ1, dZ2, C)."""
+    n = z1.shape[0]
+    y1, _, sigma1, denom1 = _normalize_cache(z1)
+    y2, _, sigma2, denom2 = _normalize_cache(z2)
+    c = y1.T @ y2 / n
+    diag = np.diag(c)
+    loss = float(((1.0 - diag) ** 2).sum() + lam * ((c - np.diag(diag)) ** 2).sum())
+
+    g_c = 2.0 * lam * c
+    np.fill_diagonal(g_c, -2.0 * (1.0 - diag))
+    gz1 = _normalize_backward(y2 @ g_c.T / n, y1, sigma1, denom1)
+    gz2 = _normalize_backward(y1 @ g_c / n, y2, sigma2, denom2)
+    return loss, gz1, gz2, c
+
+
 def bt_loss_grad(
     z1: np.ndarray, z2: np.ndarray, lam: float = DEFAULT_LAMBDA
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -107,23 +124,8 @@ def bt_loss_grad(
     z2 = _as_batch(z2)
     if z1.shape != z2.shape:
         raise ValueError(f"shape mismatch: {z1.shape} vs {z2.shape}")
-    n = z1.shape[0]
-
-    y1, sigma1, denom1 = _normalize_cache(z1)
-    y2, sigma2, denom2 = _normalize_cache(z2)
-    c = y1.T @ y2 / n
-    diag = np.diag(c)
-    loss = float(((1.0 - diag) ** 2).sum() + lam * ((c - np.diag(diag)) ** 2).sum())
-
-    g_c = 2.0 * lam * c
-    np.fill_diagonal(g_c, -2.0 * (1.0 - diag))
-    g_y1 = y2 @ g_c.T / n
-    g_y2 = y1 @ g_c / n
-    return (
-        _normalize_backward(g_y1, y1, sigma1, denom1),
-        _normalize_backward(g_y2, y2, sigma2, denom2),
-        loss,
-    )
+    loss, g1, g2, _ = _bt_core(z1, z2, lam)
+    return g1, g2, loss
 
 
 def finite_diff_check(

@@ -113,6 +113,17 @@ class TestAugmentCommand:
         assert "sigma_min=-1.0 must be > 0 (line 2)" in capsys.readouterr().err
         assert not (workspace / "out").exists()
 
+    def test_out_of_range_seed_is_usage_error(self, workspace, capsys):
+        code = cli.main([
+            "augment", "--input", str(workspace / "in"),
+            "--output", str(workspace / "out"),
+            "--policy", str(workspace / "policy.txt"),
+            "--seed", "-1",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed: seed -1 out of u64 range\n"
+        assert not (workspace / "out").exists()
+
     def test_empty_input_succeeds_with_zero_outputs(self, workspace):
         (workspace / "empty").mkdir()
         code = cli.main([
@@ -294,6 +305,68 @@ class TestPretrainCommand:
         assert "failed_step=1" in manifest
         assert "status=error" in manifest
         assert "error=TrainingDiverged: non-finite loss or gradient at step 1" in manifest
+
+    @pytest.mark.parametrize("seed_line, flags, message", [
+        ("seed=-1\n", [], "seed must be in [0, 2**64), got -1 (line 2)"),
+        ("", ["--seed", str(2 ** 64)],
+         "--seed: seed must be in [0, 2**64), got 18446744073709551616"),
+        ("", ["--seed", "-1"], "--seed: seed must be in [0, 2**64), got -1"),
+    ])
+    def test_seed_save_checkpoint_cannot_pack_is_usage_error(self, tmp_path, capsys,
+                                                             seed_line, flags, message):
+        config = tmp_path / "train.cfg"
+        config.write_text(
+            "batch_size=8\n" + seed_line + "epochs=1\nembed_dim=4\ninput_size=8\nmax_steps=2\n"
+        )
+        policy = tmp_path / "policy.txt"
+        policy.write_text("gaussian_blur 0.9\n")
+        code = cli.main([
+            "pretrain", "--synthetic", "16", "--policy", str(policy),
+            "--config", str(config), "--out", str(tmp_path / "m.ckpt"), *flags,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+        assert not (tmp_path / "m.ckpt.trace.csv").exists()
+
+    def test_diverged_run_removes_an_earlier_checkpoint(self, tmp_path):
+        policy = tmp_path / "policy.txt"
+        policy.write_text("gaussian_blur 0.9\n")
+        ckpt_path = tmp_path / "model.ckpt"
+        base = "batch_size=8\nepochs=5\nembed_dim=4\ninput_size=8\nseed=5\n"
+        for name, extra in (("good.cfg", "max_steps=2\n"), ("bad.cfg", "learning_rate=1e200\n")):
+            (tmp_path / name).write_text(base + extra)
+        argv = ["pretrain", "--synthetic", "16", "--policy", str(policy), "--out", str(ckpt_path)]
+        assert cli.main(argv + ["--config", str(tmp_path / "good.cfg")]) == 0
+        # the checkpoint went through a temp file that is gone
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith((".", "model"))) == [
+            "model.ckpt", "model.ckpt.manifest.txt", "model.ckpt.trace.csv",
+        ]
+        with np.errstate(all="ignore"):
+            assert cli.main(argv + ["--config", str(tmp_path / "bad.cfg")]) == 1
+        assert not ckpt_path.exists()
+        manifest = (tmp_path / "model.ckpt.manifest.txt").read_text().splitlines()
+        assert "failed_step=1" in manifest
+
+    def test_failed_checkpoint_write_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        policy = tmp_path / "policy.txt"
+        policy.write_text("gaussian_blur 0.9\n")
+        ckpt_path = tmp_path / "model.ckpt"
+        argv = ["pretrain", "--synthetic", "16", "--policy", str(policy), "--out", str(ckpt_path)]
+        for seed in (5, 6):
+            (tmp_path / f"{seed}.cfg").write_text(
+                f"batch_size=8\nembed_dim=4\ninput_size=8\nmax_steps=2\nseed={seed}\n"
+            )
+        assert cli.main(argv + ["--config", str(tmp_path / "5.cfg")]) == 0
+        first = ckpt_path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert cli.main(argv + ["--config", str(tmp_path / "6.cfg")]) == 1
+        assert ckpt_path.read_bytes() == first
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     def test_dataset_smaller_than_batch_is_usage_error(self, tmp_path):
         policy = tmp_path / "policy.txt"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fieldaug import augment as au
+from fieldaug import policy as P
 from fieldaug.policy import (
     AUGMENTATION_NAMES,
     DEFAULT_PROBABILITIES,
@@ -236,6 +237,8 @@ class TestParameterConstraints:
         ("random_erasing 1.0 min_fraction=0", r"min_fraction=0.0 must be in \(0, 0.5\)"),
         ("random_erasing 1.0 min_fraction=0.5", r"min_fraction=0.5 must be in \(0, 0.5\)"),
         ("random_erasing 1.0 max_rects=0", "max_rects=0 must be >= 1"),
+        ("gaussian_blur 1.0 sigma_min=1e4 sigma_max=1e4", "sigma_min=10000.0 must be <= 32"),
+        ("gaussian_blur 1.0 sigma_max=32.5", "sigma_max=32.5 must be <= 32"),
     ])
     def test_bad_parameters_fail_at_load_with_line(self, entry, message):
         with pytest.raises(PolicyError, match=f"{message}.*\\(line 3\\)"):
@@ -261,3 +264,120 @@ class TestParameterConstraints:
             "color_jitter 1.0 brightness_min=-1 brightness_max=-1 hue_min=-0.5\n"
         )
         assert [e.name for e in pol.entries] == ["random_erasing", "gaussian_blur", "color_jitter"]
+        widest = load_policy("gaussian_blur 1.0 sigma_min=32 sigma_max=32\n")
+        assert widest.entries[0].params == {"sigma_min": 32.0, "sigma_max": 32.0}
+
+
+# Each policy parameter and the augment keyword it must reach; the blur
+# sigma is drawn by the policy itself.
+KEYWORDS = {
+    "scale": "scale_range",
+    "rotation": "rotation_range",
+    "shear": "shear_range",
+    "translate_frac": "translate_frac",
+    "brightness": "brightness_range",
+    "contrast": "contrast_range",
+    "saturation": "saturation_range",
+    "hue": "hue_range",
+    "sigma": "sigma_range",
+    "area": "area_range",
+    "aspect": "aspect_range",
+    "min_fraction": "min_fraction",
+    "max_rects": "max_rects",
+}
+
+
+def direct(name, img, stream, bank, theta, **kwargs):
+    """One fired entry written as direct augment calls; parameters not in
+    ``kwargs`` keep augment's own defaults."""
+    h, w = img.shape[:2]
+    if name == "affine":
+        return au.apply_affine(img, au.sample_affine(stream, w, h, **kwargs))
+    if name == "color_jitter":
+        return au.color_jitter(img, au.sample_color_jitter(stream, **kwargs))
+    if name == "gaussian_blur":
+        return au.gaussian_blur(img, stream.uniform(*kwargs.get("sigma_range", au.SIGMA_RANGE)))
+    if name == "mixing":
+        return au.mixing(img, stream)
+    if name == "random_erasing":
+        return au.random_erasing(img, stream, **kwargs)
+    return au.background_invariance(img, bank, stream, theta)
+
+
+def one_key_overrides():
+    """(name, override, parameter, merged value) for every key a policy
+    may set, with a value inside its bounds that differs from the default."""
+    cases = []
+    for name, params in P.PARAMETERS.items():
+        for key, (default, _) in params.items():
+            if isinstance(default, tuple):
+                lo, hi = default
+                mid = (lo + hi) / 2
+                cases.append((name, {f"{key}_min": mid}, key, (mid, hi)))
+                cases.append((name, {f"{key}_max": mid}, key, (lo, mid)))
+            elif isinstance(default, int):
+                cases.append((name, {key: 1}, key, 1))
+            else:
+                cases.append((name, {key: default / 2}, key, default / 2))
+    return cases
+
+
+class TestWiring:
+    @pytest.mark.parametrize("name, override, key, value", one_key_overrides(),
+                             ids=lambda case: str(case))
+    def test_override_reaches_its_augment_argument(self, name, override, key, value,
+                                                   random_image):
+        pol = Policy([PolicyEntry(name, 1.0, override)])
+        got = apply_policy(random_image, pol, RandomStream(11))
+        stream = RandomStream(11)
+        stream.next_float64()  # the gate
+        expected = direct(name, random_image, stream, None, pol.theta, **{KEYWORDS[key]: value})
+        assert np.array_equal(got, expected)
+        # the override changes the view, so a dropped override fails too
+        plain = Policy([PolicyEntry(name, 1.0)])
+        assert not np.array_equal(got, apply_policy(random_image, plain, RandomStream(11)))
+
+    @pytest.mark.parametrize("name", AUGMENTATION_NAMES)
+    def test_defaults_match_augment_defaults(self, name, plant_image, soil_bank):
+        pol = Policy([PolicyEntry(name, 1.0)], master_seed=3, theta=0.25)
+        got = apply_policy(plant_image, pol, RandomStream(5), soil_bank=soil_bank)
+        stream = RandomStream(5)
+        stream.next_float64()  # the gate
+        assert np.array_equal(got, direct(name, plant_image, stream, soil_bank, 0.25))
+
+
+class TestRebinding:
+    """Instrumentation that rebinds ``augment.<function>`` in its module,
+    or replaces the values of ``policy._APPLIERS``, sees every fired entry:
+    both are looked up at call time."""
+
+    FUNCTIONS = ("sample_affine", "apply_affine", "sample_color_jitter", "color_jitter",
+                 "gaussian_blur", "mixing", "random_erasing", "background_invariance")
+
+    def test_every_fired_entry_is_intercepted(self, plant_image, soil_bank, monkeypatch):
+        pol = Policy([PolicyEntry(name, 1.0) for name in AUGMENTATION_NAMES], master_seed=2)
+        pol.entries[3].probability = 0.0  # mixing never fires
+        reference = apply_policy(plant_image, pol, RandomStream(4), soil_bank=soil_bank)
+
+        calls = []
+
+        def counted(label, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.FUNCTIONS:
+            monkeypatch.setattr(au, name, counted(name, getattr(au, name)))
+        for name, applier in list(P._APPLIERS.items()):
+            monkeypatch.setitem(P._APPLIERS, name, counted(f"entry.{name}", applier))
+        out = apply_policy(plant_image, pol, RandomStream(4), soil_bank=soil_bank)
+
+        assert np.array_equal(out, reference)
+        assert calls == [
+            "entry.affine", "sample_affine", "apply_affine",
+            "entry.color_jitter", "sample_color_jitter", "color_jitter",
+            "entry.gaussian_blur", "gaussian_blur",
+            "entry.random_erasing", "random_erasing",
+            "entry.background_invariance", "background_invariance",
+        ]

@@ -16,40 +16,44 @@ FUZZ = settings(max_examples=200, deadline=None)
 # config (48) and parameter count (8)
 CHECKPOINT_HEADER_BYTES = 36 + 48 + 8
 
-finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-positive = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+
+def within(default, bounds):
+    """Override values that keep a parameter's bounds from
+    ``policy.PARAMETERS``, within 1e6 of zero and at least 1e-6 inside an
+    exclusive bound."""
+    if isinstance(default, int):
+        return st.integers(bounds[">="], 10 ** 6)
+    if "in" in bounds:
+        low, high = bounds["in"]
+        return st.floats(low + 1e-6, high - 1e-3)
+    low = bounds[">"] + 1e-6 if ">" in bounds else -1e6
+    return st.floats(low, bounds.get("<=", 1e6))
 
 
 @st.composite
-def ranges(draw, prefix, default):
+def ranges(draw, key, default, values):
     """Zero, one or both ends of a range override, consistent with the
     default at the end left out."""
-    values = positive if prefix in P._POSITIVE_RANGES else finite
-    if prefix == "area":
-        values = st.floats(1e-6, 1.0)
     lo, hi = sorted((draw(values), draw(values)))
     ends = draw(st.sampled_from(["", "min", "max", "both"]))
     if ends == "min":
-        return {f"{prefix}_min": min(lo, default[1])}
+        return {f"{key}_min": min(lo, default[1])}
     if ends == "max":
-        return {f"{prefix}_max": max(hi, default[0])}
+        return {f"{key}_max": max(hi, default[0])}
     if ends == "both":
-        return {f"{prefix}_min": lo, f"{prefix}_max": hi}
+        return {f"{key}_min": lo, f"{key}_max": hi}
     return {}
 
 
 @st.composite
 def valid_params(draw, name):
     params = {}
-    for prefix, default in P._RANGES.get(name, ()):
-        params.update(draw(ranges(prefix, default)))
-    if name == "affine" and draw(st.booleans()):
-        params["translate_frac"] = draw(finite)
-    if name == "random_erasing":
-        if draw(st.booleans()):
-            params["min_fraction"] = draw(st.floats(1e-6, 0.499))
-        if draw(st.booleans()):
-            params["max_rects"] = draw(st.integers(1, 10 ** 6))
+    for key, (default, bounds) in P.PARAMETERS[name].items():
+        values = within(default, bounds)
+        if isinstance(default, tuple):
+            params.update(draw(ranges(key, default, values)))
+        elif draw(st.booleans()):
+            params[key] = draw(values)
     return params
 
 
@@ -87,7 +91,7 @@ override_values = st.one_of(
 @st.composite
 def entry_lines(draw):
     name = draw(st.sampled_from(P.AUGMENTATION_NAMES))
-    known = P._FLOAT_KEYS[name] + P._INT_KEYS.get(name, ())
+    known = tuple(P._override_defaults(name))
     keys = st.one_of(st.from_regex(r"[a-z_]{1,12}", fullmatch=True), *(
         [st.sampled_from(known)] * 3 if known else []))
     probability = draw(st.sampled_from(["0", "0.5", "1", "1.000", "-0.1", "2", "nan"]))

@@ -314,6 +314,32 @@ class TestTrainConfigText:
         with pytest.raises(ValueError, match=r"lam must be finite, got inf \(line 1\)"):
             tt.load_train_config("lam=inf\n")
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("seed", -1, r"seed must be in \[0, 2\*\*64\), got -1"),
+        ("seed", 2 ** 64, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+        ("batch_size", 2 ** 32, r"batch_size must be < 2\*\*32, got 4294967296"),
+        ("epochs", 2 ** 32, r"epochs must be < 2\*\*32"),
+        ("embed_dim", 2 ** 32, r"embed_dim must be < 2\*\*32"),
+        ("input_size", 2 ** 32, r"input_size must be < 2\*\*32"),
+        ("max_steps", 2 ** 64, r"max_steps must be < 2\*\*64"),
+    ])
+    def test_values_save_checkpoint_cannot_pack_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            tt.TrainConfig(**{name: value}).validate()
+
+    def test_largest_packable_values_round_trip(self):
+        cfg = tt.TrainConfig(batch_size=2 ** 32 - 1, epochs=2 ** 32 - 1, max_steps=2 ** 64 - 1,
+                             seed=2 ** 64 - 1, input_size=4, embed_dim=4)
+        cfg.validate()
+        ckpt = tt.load_checkpoint(tt.save_checkpoint(tt.make_checkpoint(small_model(), cfg)))
+        assert ckpt.config == cfg
+
+    def test_huge_integer_text_rejected_with_line(self):
+        with pytest.raises(ValueError, match=r"batch_size must be < 2\*\*32, got 9+ \(line 2\)"):
+            tt.load_train_config("# cfg\nbatch_size=" + "9" * 400 + "\n")
+        with pytest.raises(ValueError, match=r"seed must be in .* \(line 1\)"):
+            tt.load_train_config("seed=-1\n")
+
     def test_invalid_value_reported_with_line(self):
         with pytest.raises(ValueError, match=r"batch_size must be >= 2 .*\(line 3\)"):
             tt.load_train_config("epochs=2\n\nbatch_size=1\n")
