@@ -19,6 +19,7 @@ import numpy as np
 from .imagecore import (
     bilinear_resize,
     bilinear_sample_grid,
+    channel_mean,
     ensure_u8,
     flip_x,
     flip_y,
@@ -152,11 +153,7 @@ def apply_affine(img: np.ndarray, p: AffineParams) -> np.ndarray:
     src_x = inv[0, 0] * dx + inv[0, 1] * dy + cx
     src_y = inv[1, 0] * dx + inv[1, 1] * dy + cy
 
-    # the channel mean: integer sums are exact, so this equals
-    # img.reshape(-1, 3).mean(axis=0) byte for byte
-    planes = np.ascontiguousarray(img.reshape(-1, 3).T)
-    fill = planes.sum(axis=1, dtype=np.int64) / (h * w)
-    sampled = bilinear_sample_grid(img, src_x, src_y, fill)
+    sampled = bilinear_sample_grid(img, src_x, src_y, channel_mean(img))
     return u8_from_float(sampled)
 
 
@@ -199,16 +196,22 @@ def _rotate_hue(x: np.ndarray, hue: float) -> np.ndarray:
     active = (delta > 0) & (maxc > 0)
     safe_delta = np.where(active, delta, 1.0)
 
+    # The float `%` operations are written out exactly: the red-sector hue
+    # is in [-1, 1] wherever it is used, so `% 6.0` adds 6 to its negative
+    # values; `% 1.0` is `h - floor(h)` and `% 2.0` is `hp - 2 floor(hp / 2)`.
+    red = (g - b) / safe_delta
+    np.add(red, 6.0, out=red, where=red < 0)
     h6 = np.where(
         maxc == r,
-        ((g - b) / safe_delta) % 6.0,
+        red,
         np.where(maxc == g, (b - r) / safe_delta + 2.0, (r - g) / safe_delta + 4.0),
     )
-    h = (h6 / 6.0 + hue) % 1.0
+    h = h6 / 6.0 + hue
+    h -= np.floor(h)
 
     hp = h * 6.0
     sector = np.floor(hp).astype(np.int64) % 6
-    c_mid = delta * (1.0 - np.abs(hp % 2.0 - 1.0))
+    c_mid = delta * (1.0 - np.abs(hp - 2.0 * np.floor(hp / 2.0) - 1.0))
     rotated = np.where(
         _TAKES_CHROMA.take(sector, axis=0),
         delta[:, :, None],
@@ -362,6 +365,7 @@ def background_invariance(
     bank: SoilBank,
     rng: RandomStream,
     theta: float = DEFAULT_THETA,
+    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Transplant the masked vegetation onto a random soil image.
 
@@ -369,13 +373,17 @@ def background_invariance(
     uniform in [-W/4, W/4] x [-H/4, H/4] and round half up to pixels.
     Source pixels whose target lands outside the image are discarded. An
     all-background mask returns the resized soil image unchanged.
+    ``mask``, when given, must be ``refined_vegetation_mask(img, theta)``;
+    callers that transplant one image more than once pass it to skip the
+    mask pipeline.
     """
     img = ensure_u8(img)
     if len(bank) == 0:
         raise ValueError("soil bank is empty")
     h, w = img.shape[:2]
 
-    mask = refined_vegetation_mask(img, theta)
+    if mask is None:
+        mask = refined_vegetation_mask(img, theta)
     idx = rng.next_below(len(bank))
     dx = math.floor(rng.uniform(-TRANSLATE_FRAC * w, TRANSLATE_FRAC * w) + 0.5)
     dy = math.floor(rng.uniform(-TRANSLATE_FRAC * h, TRANSLATE_FRAC * h) + 0.5)

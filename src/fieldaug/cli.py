@@ -30,10 +30,12 @@ from . import augment, metrics, tinytrain, twins
 from .imagecore import CodecError, load_ppm, save_ppm
 from .policy import (
     AUGMENTATION_NAMES,
+    Plan,
     Policy,
     PolicyEntry,
     PolicyError,
     apply_policy,
+    compile_policy,
     load_policy,
     make_views,
     save_policy,
@@ -123,11 +125,18 @@ def _load_policy_and_bank(policy_path: Path, seed_override: int | None,
 _WORKER_CACHE: dict = {}
 
 
-def _cached_policy(policy_path: str, seed_override: int | None):
+def _cached_policy(policy_path: str, seed_override: int | None,
+                   only_entry: str | None = None):
+    """The compiled plan and soil bank of a policy file, built once per
+    process. With ``only_entry`` the plan runs that entry alone, always."""
     key = (policy_path, seed_override)
     if key not in _WORKER_CACHE:
-        _WORKER_CACHE[key] = _load_policy_and_bank(Path(policy_path), seed_override)
-    return _WORKER_CACHE[key]
+        pol, bank = _load_policy_and_bank(Path(policy_path), seed_override)
+        _WORKER_CACHE[key] = pol, bank, {None: compile_policy(pol)}
+    pol, bank, plans = _WORKER_CACHE[key]
+    if only_entry not in plans:
+        plans[only_entry] = _cell_policy(pol, (only_entry,))
+    return plans[only_entry], bank
 
 
 # glibc mallopt parameters and the values the CLI sets (see _keep_freed_memory)
@@ -159,6 +168,11 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+def _workers_used(requested: int, inputs: int) -> int:
+    """Worker processes worth starting: no more than the inputs or CPUs."""
+    return min(requested, inputs, os.cpu_count() or 1)
 
 
 def _started(_) -> None:
@@ -221,11 +235,11 @@ def _augment_task(task) -> tuple[str, str]:
     """Views for one input file; any failure is returned as a message
     against the file instead of stopping the other inputs."""
     index, in_path, out_dir, policy_path, seed_override = task
-    pol, bank = _cached_policy(policy_path, seed_override)
+    plan, bank = _cached_policy(policy_path, seed_override)
     in_path = Path(in_path)
     try:
         img = load_ppm(in_path.read_bytes())
-        views = make_views(img, pol, index, soil_bank=bank)
+        views = make_views(img, plan, index, soil_bank=bank)
         _write_files({
             Path(out_dir) / f"{in_path.stem}.v{k}.ppm": save_ppm(view)
             for k, view in enumerate(views, start=1)
@@ -242,7 +256,7 @@ def _cmd_augment(args, manifest: Manifest) -> int:
     policy_path = Path(args.policy)
     # validate before spawning, through the cache that tasks run in this
     # process (or forked from it) reuse, so the soil bank is built once
-    pol, _ = _cached_policy(str(policy_path), args.seed)
+    plan, _ = _cached_policy(str(policy_path), args.seed)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -250,8 +264,10 @@ def _cmd_augment(args, manifest: Manifest) -> int:
     manifest.add("input", input_dir)
     manifest.add("output", out_dir)
     manifest.add("policy", policy_path)
-    manifest.add("master_seed", pol.master_seed)
+    manifest.add("master_seed", plan.master_seed)
+    workers = _workers_used(args.workers, len(files))
     manifest.add("workers", args.workers)
+    manifest.add("workers_used", workers)
     manifest.add("images", len(files))
     if not files:
         manifest.add("views_written", 0)
@@ -261,7 +277,7 @@ def _cmd_augment(args, manifest: Manifest) -> int:
         (index, str(path), str(out_dir), str(policy_path), args.seed)
         for index, path in enumerate(files)
     ]
-    with _worker_pool(args.workers if len(tasks) > 1 else 1) as pool:
+    with _worker_pool(workers) as pool:
         t0 = time.perf_counter()
         results = _pool_map(_augment_task, tasks, pool)
         elapsed = time.perf_counter() - t0
@@ -451,12 +467,10 @@ def _cmd_gradcheck(args, manifest: Manifest) -> int:
 
 def _bench_task(task) -> None:
     in_path, policy_path, seed_override, index, only_entry = task
-    pol, bank = _cached_policy(policy_path, seed_override)
-    if only_entry is not None:
-        pol = _cell_policy(pol, (only_entry,))
+    plan, bank = _cached_policy(policy_path, seed_override, only_entry)
     img = load_ppm(Path(in_path).read_bytes())
-    stream = RandomStream(derive_seed(pol.master_seed, index))
-    apply_policy(img, pol, stream, soil_bank=bank)
+    stream = RandomStream(derive_seed(plan.master_seed, index))
+    apply_policy(img, plan, stream, soil_bank=bank)
 
 
 def _cmd_bench(args, manifest: Manifest) -> int:
@@ -464,20 +478,22 @@ def _cmd_bench(args, manifest: Manifest) -> int:
     if not input_dir.is_dir():
         raise UsageError(f"input directory not found: {input_dir}")
     policy_path = Path(args.policy)
-    pol, _ = _cached_policy(str(policy_path), args.seed)
+    plan, _ = _cached_policy(str(policy_path), args.seed)
     files = _sorted_ppms(input_dir)
     if not files:
         raise UsageError(f"no .ppm images in {input_dir}")
 
+    workers = _workers_used(args.workers, len(files))
     manifest.add("input", input_dir)
     manifest.add("images", len(files))
     manifest.add("workers", args.workers)
+    manifest.add("workers_used", workers)
     manifest.add("repeat", args.repeat)
 
-    stages = [e.name for e in pol.entries] + [None]
+    stages = [e.name for e in plan.entries] + [None]
     print(f"benchmark: {len(files)} images, median of {args.repeat}, "
-          f"workers={args.workers}")
-    with _worker_pool(args.workers if len(files) > 1 else 1) as pool:
+          f"workers={workers}")
+    with _worker_pool(workers) as pool:
         for stage in stages:
             label = stage if stage is not None else "end_to_end"
             tasks = [
@@ -501,21 +517,23 @@ def _cmd_bench(args, manifest: Manifest) -> int:
 # order sweep
 # ---------------------------------------------------------------------------
 
-def _cell_policy(base: Policy, names: tuple[str, ...]) -> Policy:
+def _cell_policy(base: Policy, names: tuple[str, ...]) -> Plan:
+    """The plan that runs ``names`` in order, always, with the overrides
+    ``base`` gives them."""
     by_name = {e.name: e for e in base.entries}
     entries = []
     for name in names:
         params = dict(by_name[name].params) if name in by_name else {}
         entries.append(PolicyEntry(name, 1.0, params))
-    return Policy(
+    return compile_policy(Policy(
         entries=entries,
         master_seed=base.master_seed,
         theta=base.theta,
         soil_bank_path=base.soil_bank_path,
-    )
+    ))
 
 
-def _run_cell(dataset, cell: Policy, bank, cfg: tinytrain.TrainConfig):
+def _run_cell(dataset, cell: Plan, bank, cfg: tinytrain.TrainConfig):
     ckpt, trace = tinytrain.pretrain(dataset, cell, cfg, soil_bank=bank)
     model = tinytrain.model_from_checkpoint(ckpt)
     probe_n = min(cfg.batch_size, len(dataset))
@@ -715,6 +733,16 @@ def _cmd_eval(args, manifest: Manifest) -> int:
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fieldaug",
@@ -728,7 +756,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output directory for view files")
     p.add_argument("--policy", required=True, help="policy config file")
     p.add_argument("--seed", type=int, default=None, help="override the policy master seed")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_at_least_one, default=1)
     p.add_argument("--manifest", default=None)
     p.set_defaults(handler=_cmd_augment)
 
@@ -762,8 +790,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure augmentation throughput")
     p.add_argument("--input", required=True)
     p.add_argument("--policy", required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--workers", type=_at_least_one, default=1)
+    p.add_argument("--repeat", type=_at_least_one, default=3)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--manifest", default=None)
     p.set_defaults(handler=_cmd_bench)

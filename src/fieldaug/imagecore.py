@@ -24,6 +24,7 @@ __all__ = [
     "save_ppm",
     "load_pgm",
     "save_pgm",
+    "channel_mean",
     "normalize_image",
     "bilinear_sample",
     "bilinear_sample_grid",
@@ -155,14 +156,23 @@ def save_pgm(gray: np.ndarray) -> bytes:
 # normalization and resampling
 # ---------------------------------------------------------------------------
 
+def channel_mean(img: np.ndarray) -> np.ndarray:
+    """Per-channel float64 mean of a byte image. Integer sums are exact, so
+    this equals ``img.reshape(-1, 3).mean(axis=0)`` byte for byte."""
+    h, w = img.shape[:2]
+    planes = np.ascontiguousarray(img.reshape(-1, 3).T)
+    return planes.sum(axis=1, dtype=np.int64) / (h * w)
+
+
 def normalize_image(img: np.ndarray) -> np.ndarray:
     """Per-channel standardization (x - mean) / (population std + 1e-8)."""
     img = ensure_u8(img)
-    pixels = img.reshape(-1, 3).astype(np.float64)
-    mean = pixels.mean(axis=0)
-    std = pixels.std(axis=0)  # population std
-    out = (img.astype(np.float64) - mean) / (std + NORM_EPS)
-    return out.astype(np.float32)
+    pixels = img.reshape(-1, 3)
+    dev = pixels - channel_mean(img)
+    # the population std as numpy's std computes it: the squared
+    # deviations of the (N, 3) array summed over axis 0, row by row
+    std = np.sqrt((dev * dev).sum(axis=0) / len(pixels))
+    return (dev / (std + NORM_EPS)).astype(np.float32).reshape(img.shape)
 
 
 def bilinear_sample_grid(

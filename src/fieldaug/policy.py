@@ -31,6 +31,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,10 +43,13 @@ __all__ = [
     "PolicyError",
     "PolicyEntry",
     "Policy",
+    "Plan",
+    "PlanEntry",
     "AUGMENTATION_NAMES",
     "PARAMETERS",
     "DEFAULT_PROBABILITIES",
     "default_policy",
+    "compile_policy",
     "apply_policy",
     "make_views",
     "load_policy",
@@ -200,6 +204,42 @@ def _check_params(name: str, params: dict, where: str) -> None:
                     raise PolicyError(f"{key}{suffix}={value} must be {symbol} {limit}{where}")
 
 
+@dataclass(frozen=True)
+class PlanEntry:
+    name: str
+    probability: float
+    values: MappingProxyType  # the merged parameters, see _merged
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A validated policy with each entry's parameters merged, ready to
+    apply to any number of views."""
+
+    entries: tuple[PlanEntry, ...]
+    master_seed: int
+    theta: float
+    needs_bank: bool
+
+
+def compile_policy(policy: Policy | Plan) -> Plan:
+    """Validate ``policy`` and merge its overrides into a frozen plan; a
+    plan is returned as it is."""
+    if isinstance(policy, Plan):
+        return policy
+    validate_policy(policy)
+    entries = tuple(
+        PlanEntry(e.name, e.probability, MappingProxyType(_merged(e.name, e.params)))
+        for e in policy.entries
+    )
+    return Plan(
+        entries=entries,
+        master_seed=policy.master_seed,
+        theta=policy.theta,
+        needs_bank=any(e.name == "background_invariance" for e in entries),
+    )
+
+
 def validate_policy(policy: Policy) -> None:
     seen = set()
     for entry in policy.entries:
@@ -259,8 +299,8 @@ def _apply_random_erasing(img, rng, values, theta, bank):
     )
 
 
-def _apply_background_invariance(img, rng, values, theta, bank):
-    return augment.background_invariance(img, bank, rng, theta)
+def _apply_background_invariance(img, rng, values, theta, bank, mask=None):
+    return augment.background_invariance(img, bank, rng, theta, mask=mask)
 
 
 _APPLIERS = {
@@ -275,41 +315,52 @@ _APPLIERS = {
 
 def apply_policy(
     img: np.ndarray,
-    policy: Policy,
+    policy: Policy | Plan,
     stream: RandomStream,
     soil_bank: augment.SoilBank | None = None,
+    source_mask=None,
 ) -> np.ndarray:
     """Run the policy's entries in order against one image.
 
     Each entry consumes one gate draw; entries whose gate fires then draw
-    their parameters from the same stream and transform the image.
+    their parameters from the same stream and transform the image. A
+    :class:`Policy` is compiled (and so validated) on every call; callers
+    that apply one policy many times pass its :class:`Plan`.
+    ``source_mask``, when given, returns the refined vegetation mask of
+    ``img``; background invariance uses it when it fires before any other
+    entry has changed the image.
     """
-    validate_policy(policy)
-    needs_bank = any(e.name == "background_invariance" for e in policy.entries)
-    if needs_bank and (soil_bank is None or len(soil_bank) == 0):
+    plan = compile_policy(policy)
+    if plan.needs_bank and (soil_bank is None or len(soil_bank) == 0):
         raise PolicyError(
             "policy contains background_invariance but no soil bank is loaded"
         )
-    for entry in policy.entries:
+    source = img
+    for entry in plan.entries:
         gate = stream.next_float64()
         if gate < entry.probability:
-            values = _merged(entry.name, entry.params)
-            img = _APPLIERS[entry.name](img, stream, values, policy.theta, soil_bank)
+            shared = {}
+            if img is source and source_mask is not None and entry.name == "background_invariance":
+                shared["mask"] = source_mask()
+            img = _APPLIERS[entry.name](img, stream, entry.values, plan.theta, soil_bank, **shared)
     return img
 
 
 def make_views(
     img: np.ndarray,
-    policy: Policy,
+    policy: Policy | Plan,
     image_index: int,
     soil_bank: augment.SoilBank | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Produce the two views for one image. View k uses the stream seeded
-    with derive(master_seed, 2 * image_index + k)."""
+    with derive(master_seed, 2 * image_index + k). Both views share one
+    refined vegetation mask of ``img``, computed when first needed."""
+    plan = compile_policy(policy)
+    source_mask = functools.cache(lambda: augment.refined_vegetation_mask(img, plan.theta))
     views = []
     for k in (0, 1):
-        stream = RandomStream(derive_seed(policy.master_seed, 2 * image_index + k))
-        views.append(apply_policy(img, policy, stream, soil_bank=soil_bank))
+        stream = RandomStream(derive_seed(plan.master_seed, 2 * image_index + k))
+        views.append(apply_policy(img, plan, stream, soil_bank=soil_bank, source_mask=source_mask))
     return views[0], views[1]
 
 

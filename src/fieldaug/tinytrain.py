@@ -31,7 +31,7 @@ import numpy as np
 
 from . import twins
 from .imagecore import bilinear_resize, ensure_u8
-from .policy import Policy, make_views
+from .policy import Plan, Policy, compile_policy, make_views
 from .augment import SoilBank
 from .rng import RandomStream, derive_seed
 
@@ -364,10 +364,13 @@ class TrainingDiverged(RuntimeError):
         self.trace = list(trace)
 
 
-def train_step(model: TinyModel, view1, view2, cfg: TrainConfig):
+def train_step(model: TinyModel, view1, view2, cfg: TrainConfig, *, validate: bool = True):
     """One SGD step with decoupled weight decay, in place. Returns
-    (loss, diag_mean, offdiag_mean) of the step's cross-correlation."""
-    cfg.validate()
+    (loss, diag_mean, offdiag_mean) of the step's cross-correlation.
+    ``validate=False`` skips checking ``cfg``, for a caller that checked
+    it once before many steps."""
+    if validate:
+        cfg.validate()
     loss, grad, dmean, omean = _backward_stats(
         model, view1, view2, cfg.lam, update_stats=True
     )
@@ -390,7 +393,7 @@ def probe_cross_corr(model: TinyModel, view1, view2) -> np.ndarray:
 # training loop
 # ---------------------------------------------------------------------------
 
-def pretrain(dataset, policy: Policy, cfg: TrainConfig,
+def pretrain(dataset, policy: Policy | Plan, cfg: TrainConfig,
              soil_bank: SoilBank | None = None):
     """Run the self-supervised loop over a byte-image dataset.
 
@@ -402,6 +405,7 @@ def pretrain(dataset, policy: Policy, cfg: TrainConfig,
     the trace so far.
     """
     cfg.validate()
+    plan = compile_policy(policy)
     n = len(dataset)
     if n < cfg.batch_size:
         raise ValueError(f"dataset has {n} images, smaller than batch size {cfg.batch_size}")
@@ -415,13 +419,13 @@ def pretrain(dataset, policy: Policy, cfg: TrainConfig,
             batch_idx = order[start:start + cfg.batch_size]
             views1, views2 = [], []
             for i in batch_idx:
-                v1, v2 = make_views(dataset[i], policy, epoch * n + i, soil_bank=soil_bank)
+                v1, v2 = make_views(dataset[i], plan, epoch * n + i, soil_bank=soil_bank)
                 views1.append(v1)
                 views2.append(v2)
             x1 = prepare_batch(views1, cfg.input_size)
             x2 = prepare_batch(views2, cfg.input_size)
             try:
-                loss, dmean, omean = train_step(model, x1, x2, cfg)
+                loss, dmean, omean = train_step(model, x1, x2, cfg, validate=False)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(exc.step, trace) from None
             trace.append((model.step, loss, dmean, omean))

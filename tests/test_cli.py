@@ -502,6 +502,62 @@ class TestBenchCommand:
         assert "images_per_second.gaussian_blur=" in manifest
 
 
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--repeat", "0"],
+        ["bench", "--repeat", "-1"],
+        ["bench", "--workers", "0"],
+        ["augment", "--workers", "0", "--output", "out"],
+        ["augment", "--workers", "-3", "--output", "out"],
+    ])
+    def test_counts_below_one_rejected_before_any_output(self, workspace, capsys, argv):
+        argv = argv + ["--input", str(workspace / "in"), "--policy", str(workspace / "policy.txt")]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("command", ["augment", "bench"])
+    @pytest.mark.parametrize("requested, cpus, used", [
+        (1000, 3, 3), (1000, 64, 4), (2, 64, 2), (1, 64, 1),
+    ])
+    def test_pool_size_clamped_to_inputs_and_cpus(self, workspace, monkeypatch,
+                                                  command, requested, cpus, used):
+        started = []
+
+        class InlinePool:
+            """Stands in for the process pool, so no process is started."""
+
+            def __init__(self, max_workers, initializer):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        manifest = workspace / f"{command}.manifest.txt"
+        argv = [command, "--input", str(workspace / "in"), "--policy",
+                str(workspace / "policy.txt"), "--workers", str(requested),
+                "--manifest", str(manifest)]
+        if command == "augment":
+            argv += ["--output", str(workspace / "out")]
+        else:
+            argv += ["--repeat", "1"]
+        assert cli.main(argv) == 0
+        assert started == ([used] if used > 1 else [])
+        lines = manifest.read_text().splitlines()
+        assert f"workers={requested}" in lines and f"workers_used={used}" in lines
+
+
 class TestOrderSweepCommand:
     def test_full_mode_with_two_names(self, tmp_path):
         policy = tmp_path / "policy.txt"

@@ -1,17 +1,21 @@
-"""Byte-for-byte checks of the fast resampling, hue and blur kernels
-against straightforward reference versions of the same float operations.
+"""Byte-for-byte checks of the fast resampling, hue, blur and
+normalization kernels against straightforward reference versions of the
+same float operations.
 
 The references below are the earlier implementations: ``np.select`` over
-six sector candidates for the hue rotation, four 2-D gathers blended with
-the fill through ``np.where`` for bilinear sampling, and ``np.pad`` edge
-replication for the blur borders. Outputs must match as raw bytes, not
-just approximately.
+six sector candidates and float ``%`` for the hue rotation, four 2-D
+gathers blended with the fill through ``np.where`` for bilinear sampling,
+``np.pad`` edge replication for the blur borders, and numpy's ``mean`` and
+``std`` for the standardization. Outputs must match as raw bytes, not just
+approximately.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fieldaug import augment as A
 from fieldaug import imagecore as ic
@@ -89,6 +93,14 @@ def reference_rotate_hue(x, hue):
         axis=2,
     )
     return np.where(active[:, :, None], rotated, x)
+
+
+def reference_normalize_image(img):
+    pixels = img.reshape(-1, 3).astype(np.float64)
+    mean = pixels.mean(axis=0)
+    std = pixels.std(axis=0)
+    out = (img.astype(np.float64) - mean) / (std + ic.NORM_EPS)
+    return out.astype(np.float32)
 
 
 def reference_blur_axis(x, taps, axis):
@@ -211,6 +223,12 @@ def test_same_size_resize_is_a_copy_equal_to_the_grid_sample(h, w):
 # hue rotation
 # ---------------------------------------------------------------------------
 
+# the float `%` of the reference at its edges: integers, values just
+# below them, signed and tiny zeros, and magnitudes with no fraction left
+EDGE_HUES = (-0.0, 0.0, 1e-300, 0.999999999, 1.0, 7.5, -0.5, -1e20, 1e300)
+PIXEL_VALUES = (-40.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 17.0, 255.0, 300.0)
+
+
 def hue_edge_pixels():
     """Tied maxima in every pairing, all-equal channels, max <= 0, signed
     zeros, and mixed-sign values as they occur after unclamped contrast."""
@@ -219,7 +237,7 @@ def hue_edge_pixels():
     return np.array(pixels, dtype=np.float64).reshape(-1, 8, 3)
 
 
-@pytest.mark.parametrize("hue", [0.0, 0.05, 0.125, 1.0 / 6.0, 0.5, 0.999, -0.3, 1.7])
+@pytest.mark.parametrize("hue", [0.05, 0.125, 1.0 / 6.0, 0.5, 0.999, -0.3, 1.7, *EDGE_HUES])
 def test_rotate_hue_matches_reference_on_edge_pixels(hue):
     x = hue_edge_pixels()
     assert_same_bytes(A._rotate_hue(x, hue), reference_rotate_hue(x, hue))
@@ -240,6 +258,51 @@ def test_rotate_hue_tie_and_nonpositive_max():
     assert_same_bytes(out, reference_rotate_hue(x, 0.25))
     # max <= 0 has no defined hue and passes through
     assert_same_bytes(out[0, 2:], x[0, 2:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(((1, 1), (1, 5), (7, 23), (128, 128))),
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from(EDGE_HUES) | st.floats(-2.0, 2.0) | st.floats(-1e300, 1e300),
+)
+def test_rotate_hue_matches_reference_on_fuzzed_images(shape, seed, hue):
+    # half the values from a small set, so that ties, signed zeros and
+    # channel maxima <= 0 are common
+    rng = np.random.default_rng(seed)
+    size = shape + (3,)
+    x = np.where(rng.random(size) < 0.5, rng.choice(PIXEL_VALUES, size=size),
+                 rng.uniform(-60.0, 320.0, size=size))
+    assert_same_bytes(A._rotate_hue(x, hue), reference_rotate_hue(x, hue))
+
+
+# ---------------------------------------------------------------------------
+# normalization
+# ---------------------------------------------------------------------------
+
+def byte_image(shape, seed, kind):
+    h, w = shape
+    rng = np.random.default_rng(seed)
+    if kind == "constant":  # std 0: every output is 0
+        return np.full((h, w, 3), rng.integers(0, 256, size=3), np.uint8)
+    if kind == "two values":
+        return np.where(rng.random((h, w, 1)) < 0.5, 0, 255).astype(np.uint8).repeat(3, axis=2)
+    if kind == "narrow":
+        return rng.integers(100, 103, size=(h, w, 3), dtype=np.uint8)
+    return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(((1, 1), (1, 5), (7, 23), (128, 128))),
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from(("random", "constant", "two values", "narrow")),
+)
+@example((128, 128), 0, "constant")
+@example((128, 128), 1, "two values")
+def test_normalize_image_matches_mean_and_std(shape, seed, kind):
+    img = byte_image(shape, seed, kind)
+    assert_same_bytes(ic.normalize_image(img), reference_normalize_image(img))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -381,3 +383,117 @@ class TestRebinding:
             "entry.random_erasing", "random_erasing",
             "entry.background_invariance", "background_invariance",
         ]
+
+
+class TestPlan:
+    def test_compiled_once_and_frozen(self):
+        pol = default_policy(3)
+        pol.entries[1].params = {"scale_min": 0.8}
+        plan = P.compile_policy(pol)
+        assert P.compile_policy(plan) is plan
+        assert [(e.name, e.probability) for e in plan.entries] == [
+            (e.name, e.probability) for e in pol.entries
+        ]
+        assert plan.entries[1].values["scale"] == (0.8, au.SCALE_RANGE[1])
+        assert (plan.master_seed, plan.theta, plan.needs_bank) == (3, pol.theta, True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.theta = 1.0
+        with pytest.raises(TypeError):
+            plan.entries[1].values["scale"] = (1.0, 1.0)
+        # later edits of the policy do not reach the plan
+        pol.entries[1].params["scale_min"] = 1.5
+        assert plan.entries[1].values["scale"] == (0.8, au.SCALE_RANGE[1])
+
+    def test_invalid_policy_does_not_compile(self):
+        pol = Policy([PolicyEntry("gaussian_blur", 1.0, {"sigma_min": 0.0})])
+        with pytest.raises(PolicyError, match="sigma_min"):
+            P.compile_policy(pol)
+
+    def test_plan_and_policy_give_the_same_views(self, plant_image, soil_bank):
+        pol = default_policy(3)
+        plan = P.compile_policy(pol)
+        for index in range(6):
+            a = make_views(plant_image, pol, index, soil_bank=soil_bank)
+            b = make_views(plant_image, plan, index, soil_bank=soil_bank)
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def count_masks(monkeypatch) -> list:
+    """Record every call of the full mask pipeline."""
+    calls = []
+    original = au.refined_vegetation_mask
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(au, "refined_vegetation_mask", counted)
+    return calls
+
+
+def view_by_view(img, pol, index, bank):
+    """Each view through its own apply_policy call, masking on its own."""
+    return [
+        apply_policy(img, pol, RandomStream(derive_seed(pol.master_seed, 2 * index + k)),
+                     soil_bank=bank)
+        for k in (0, 1)
+    ]
+
+
+class TestSharedSourceMask:
+    def test_one_mask_when_background_fires_first_on_both_views(
+            self, plant_image, soil_bank, monkeypatch):
+        pol = Policy([PolicyEntry("background_invariance", 1.0),
+                      PolicyEntry("gaussian_blur", 1.0)], master_seed=5)
+        masks = count_masks(monkeypatch)
+        views = make_views(plant_image, pol, 0, soil_bank=soil_bank)
+        assert len(masks) == 1
+        # the shared mask equals each view's own mask
+        for got, want in zip(views, view_by_view(plant_image, pol, 0, soil_bank)):
+            assert np.array_equal(got, want)
+        assert len(masks) == 3
+
+    @pytest.mark.parametrize("fired, expected", [
+        ((False, False), 1), ((True, False), 2), ((False, True), 2), ((True, True), 2),
+    ])
+    def test_a_view_changed_first_masks_its_own_image(
+            self, plant_image, soil_bank, monkeypatch, fired, expected):
+        pol = Policy([PolicyEntry("gaussian_blur", 0.5),
+                      PolicyEntry("background_invariance", 1.0)], master_seed=5)
+
+        def blur_fires(index):
+            return tuple(RandomStream(derive_seed(5, 2 * index + k)).next_float64() < 0.5
+                         for k in (0, 1))
+
+        index = next(i for i in range(200) if blur_fires(i) == fired)
+        masks = count_masks(monkeypatch)
+        views = make_views(plant_image, pol, index, soil_bank=soil_bank)
+        assert len(masks) == expected
+        for got, want in zip(views, view_by_view(plant_image, pol, index, soil_bank)):
+            assert np.array_equal(got, want)
+
+    def test_no_mask_when_background_never_fires(self, plant_image, soil_bank, monkeypatch):
+        pol = Policy([PolicyEntry("background_invariance", 0.0)], master_seed=5)
+        masks = count_masks(monkeypatch)
+        make_views(plant_image, pol, 0, soil_bank=soil_bank)
+        assert masks == []
+
+    def test_rebinding_sees_every_fired_view(self, plant_image, soil_bank, monkeypatch):
+        pol = Policy([PolicyEntry("background_invariance", 1.0),
+                      PolicyEntry("gaussian_blur", 1.0)], master_seed=2)
+        reference = make_views(plant_image, pol, 4, soil_bank=soil_bank)
+        calls = []
+
+        def counted(label, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("background_invariance", "gaussian_blur"):
+            monkeypatch.setattr(au, name, counted(name, getattr(au, name)))
+            monkeypatch.setitem(P._APPLIERS, name, counted(f"entry.{name}", P._APPLIERS[name]))
+        views = make_views(plant_image, pol, 4, soil_bank=soil_bank)
+        assert all(np.array_equal(a, b) for a, b in zip(views, reference))
+        assert calls == ["entry.background_invariance", "background_invariance",
+                         "entry.gaussian_blur", "gaussian_blur"] * 2

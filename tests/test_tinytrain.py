@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fieldaug import policy as P
 from fieldaug import tinytrain as tt
 from fieldaug.augment import build_soil_bank
 from fieldaug.policy import Policy, PolicyEntry
@@ -140,6 +141,13 @@ class TestTrainStep:
         assert str(info.value) == "non-finite loss or gradient at step 6"
         assert info.value.step == 6 and info.value.trace == []
 
+    def test_public_step_still_validates(self):
+        model = small_model()
+        x1, x2 = small_batch(model, seed=2), small_batch(model, seed=3)
+        cfg = tt.TrainConfig(batch_size=4, input_size=4, embed_dim=4, learning_rate=-1.0)
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            tt.train_step(model, x1, x2, cfg)
+
     def test_two_runs_identical(self):
         runs = []
         for _ in range(2):
@@ -195,6 +203,20 @@ class TestPretrain:
         assert exc.step == len(exc.trace) == 1
         assert [row[0] for row in exc.trace] == [1]
         assert np.isfinite(exc.trace[0][1])
+
+    def test_policy_and_config_validated_once_per_run(self, monkeypatch):
+        checks = []
+        validate_policy, validate_config = P.validate_policy, tt.TrainConfig.validate
+        monkeypatch.setattr(P, "validate_policy",
+                            lambda pol: checks.append("policy") or validate_policy(pol))
+        monkeypatch.setattr(tt.TrainConfig, "validate",
+                            lambda cfg: checks.append("config") or validate_config(cfg))
+        corpus = tt.make_synthetic_corpus(12, size=8, seed=1)
+        cfg = tt.TrainConfig(batch_size=4, input_size=8, embed_dim=4,
+                             learning_rate=0.05, epochs=2, seed=9)
+        _, trace = tt.pretrain(corpus, tiny_policy(3), cfg)
+        assert len(trace) == 6  # 6 steps of 4 images, 48 views
+        assert sorted(checks) == ["config", "policy"]
 
     def test_bit_reproducible(self):
         corpus = tt.make_synthetic_corpus(8, size=8, seed=2)
