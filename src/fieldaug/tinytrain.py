@@ -364,13 +364,10 @@ class TrainingDiverged(RuntimeError):
         self.trace = list(trace)
 
 
-def train_step(model: TinyModel, view1, view2, cfg: TrainConfig, *, validate: bool = True):
+def train_step(model: TinyModel, view1, view2, cfg: TrainConfig):
     """One SGD step with decoupled weight decay, in place. Returns
-    (loss, diag_mean, offdiag_mean) of the step's cross-correlation.
-    ``validate=False`` skips checking ``cfg``, for a caller that checked
-    it once before many steps."""
-    if validate:
-        cfg.validate()
+    (loss, diag_mean, offdiag_mean) of the step's cross-correlation."""
+    cfg.validate()
     loss, grad, dmean, omean = _backward_stats(
         model, view1, view2, cfg.lam, update_stats=True
     )
@@ -425,7 +422,7 @@ def pretrain(dataset, policy: Policy | Plan, cfg: TrainConfig,
             x1 = prepare_batch(views1, cfg.input_size)
             x2 = prepare_batch(views2, cfg.input_size)
             try:
-                loss, dmean, omean = train_step(model, x1, x2, cfg, validate=False)
+                loss, dmean, omean = train_step(model, x1, x2, cfg)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(exc.step, trace) from None
             trace.append((model.step, loss, dmean, omean))

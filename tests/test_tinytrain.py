@@ -204,19 +204,17 @@ class TestPretrain:
         assert [row[0] for row in exc.trace] == [1]
         assert np.isfinite(exc.trace[0][1])
 
-    def test_policy_and_config_validated_once_per_run(self, monkeypatch):
+    def test_policy_validated_once_per_run(self, monkeypatch):
         checks = []
-        validate_policy, validate_config = P.validate_policy, tt.TrainConfig.validate
+        validate_policy = P.validate_policy
         monkeypatch.setattr(P, "validate_policy",
                             lambda pol: checks.append("policy") or validate_policy(pol))
-        monkeypatch.setattr(tt.TrainConfig, "validate",
-                            lambda cfg: checks.append("config") or validate_config(cfg))
         corpus = tt.make_synthetic_corpus(12, size=8, seed=1)
         cfg = tt.TrainConfig(batch_size=4, input_size=8, embed_dim=4,
                              learning_rate=0.05, epochs=2, seed=9)
         _, trace = tt.pretrain(corpus, tiny_policy(3), cfg)
         assert len(trace) == 6  # 6 steps of 4 images, 48 views
-        assert sorted(checks) == ["config", "policy"]
+        assert checks == ["policy"]
 
     def test_bit_reproducible(self):
         corpus = tt.make_synthetic_corpus(8, size=8, seed=2)
