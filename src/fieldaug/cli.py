@@ -38,7 +38,6 @@ from .policy import (
     compile_policy,
     load_policy,
     make_views,
-    save_policy,
     validate_policy,
 )
 from .rng import RandomStream, derive_seed
@@ -84,12 +83,9 @@ class Manifest:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _load_policy_and_bank(policy_path: Path, seed_override: int | None,
-                          allow_missing_bank: bool = False):
-    """Load a policy file plus, when needed, the soil bank it names.
-    Relative bank paths resolve against the policy file's directory. With
-    ``allow_missing_bank`` a policy that uses background_invariance but
-    names no bank loads with bank None (callers synthesize one)."""
+def _load_run_policy(policy_path: Path, seed_override: int | None) -> Policy:
+    """Load and validate a policy file, with ``--seed`` replacing its
+    master seed when given."""
     if not policy_path.is_file():
         raise UsageError(f"policy file not found: {policy_path}")
     try:
@@ -102,14 +98,18 @@ def _load_policy_and_bank(policy_path: Path, seed_override: int | None,
             validate_policy(pol)
         except PolicyError as exc:
             raise UsageError(f"--seed: {exc}") from exc
-    bank = None
-    if any(e.name == "background_invariance" for e in pol.entries):
-        if not pol.soil_bank_path:
-            if allow_missing_bank:
-                return pol, None
-            raise UsageError(
-                f"{policy_path}: policy uses background_invariance but sets no soil_bank"
-            )
+    return pol
+
+
+def _soil_bank(policy_path: Path, pol: Policy, needed: bool,
+               synthetic: tinytrain.TrainConfig | None = None):
+    """The soil bank of a run: None unless it is ``needed``; else the
+    directory the policy names, relative to the policy file; else, for a
+    ``--synthetic`` run, a bank of synthetic soil at the ``synthetic``
+    config's input size and seed; else a usage error."""
+    if not needed:
+        return None
+    if pol.soil_bank_path:
         bank_dir = Path(pol.soil_bank_path)
         if not bank_dir.is_absolute():
             bank_dir = policy_path.parent / bank_dir
@@ -119,24 +119,16 @@ def _load_policy_and_bank(policy_path: Path, seed_override: int | None,
         bank = augment.build_soil_bank(images, pol.theta)
         if len(bank) == 0:
             raise UsageError(f"soil bank {bank_dir} admitted no images")
-    return pol, bank
-
-
-_WORKER_CACHE: dict = {}
-
-
-def _cached_policy(policy_path: str, seed_override: int | None,
-                   only_entry: str | None = None):
-    """The compiled plan and soil bank of a policy file, built once per
-    process. With ``only_entry`` the plan runs that entry alone, always."""
-    key = (policy_path, seed_override)
-    if key not in _WORKER_CACHE:
-        pol, bank = _load_policy_and_bank(Path(policy_path), seed_override)
-        _WORKER_CACHE[key] = pol, bank, {None: compile_policy(pol)}
-    pol, bank, plans = _WORKER_CACHE[key]
-    if only_entry not in plans:
-        plans[only_entry] = _cell_policy(pol, (only_entry,))
-    return plans[only_entry], bank
+        return bank
+    if synthetic is None:
+        raise UsageError(
+            f"{policy_path}: policy uses background_invariance but sets no soil_bank"
+        )
+    bank = augment.build_soil_bank(tinytrain.make_synthetic_soil(
+        32, size=synthetic.input_size, seed=derive_seed(synthetic.seed, 0xBA9C)))
+    if len(bank) == 0:
+        raise RuntimeError("synthetic soil generation admitted no images")
+    return bank
 
 
 # glibc mallopt parameters and the values the CLI sets (see _keep_freed_memory)
@@ -179,17 +171,34 @@ def _started(_) -> None:
     """Warm-up task: returns once a worker process is running."""
 
 
+# The plans, by bench stage (None for the whole policy), and the soil bank
+# of the command whose tasks run in this process; see _worker_pool.
+_RUN: dict = {}
+
+
+def _start_worker(plans: dict, bank) -> None:
+    _keep_freed_memory()
+    _RUN.update(plans=plans, bank=bank)
+
+
 @contextlib.contextmanager
-def _worker_pool(workers: int):
-    """A process pool whose workers have all been started, or None when
-    the work runs in this process. Timed regions use the pool after this
-    returns, so they exclude pool start-up. Workers started by forkserver
-    or spawn do not inherit the parent's allocator settings, so each one
-    sets them again."""
+def _worker_pool(workers: int, plans: dict, bank):
+    """A process pool whose workers have all been started and hold
+    ``plans`` and ``bank`` for the tasks, or None when the tasks run in
+    this process, which then holds them until the pool closes. Timed
+    regions use the pool after this returns, so they exclude pool
+    start-up. Workers started by forkserver or spawn do not inherit the
+    parent's allocator settings, so each one sets them again; this
+    process's settings are left as they are."""
     if workers <= 1:
-        yield None
+        _RUN.update(plans=plans, bank=bank)
+        try:
+            yield None
+        finally:
+            _RUN.clear()
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_memory) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                             initargs=(plans, bank)) as pool:
         list(pool.map(_started, range(workers)))
         yield pool
 
@@ -202,14 +211,6 @@ def _pool_map(fn, tasks: list, pool) -> list:
 
 def _sorted_ppms(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.ppm"), key=lambda p: p.name)
-
-
-def _synthesize_bank(size: int, seed: int) -> augment.SoilBank:
-    candidates = tinytrain.make_synthetic_soil(32, size=size, seed=derive_seed(seed, 0xBA9C))
-    bank = augment.build_soil_bank(candidates)
-    if len(bank) == 0:
-        raise RuntimeError("synthetic soil generation admitted no images")
-    return bank
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +235,11 @@ def _write_files(files: dict) -> None:
 def _augment_task(task) -> tuple[str, str]:
     """Views for one input file; any failure is returned as a message
     against the file instead of stopping the other inputs."""
-    index, in_path, out_dir, policy_path, seed_override = task
-    plan, bank = _cached_policy(policy_path, seed_override)
+    index, in_path, out_dir = task
     in_path = Path(in_path)
     try:
         img = load_ppm(in_path.read_bytes())
-        views = make_views(img, plan, index, soil_bank=bank)
+        views = make_views(img, _RUN["plans"][None], index, soil_bank=_RUN["bank"])
         _write_files({
             Path(out_dir) / f"{in_path.stem}.v{k}.ppm": save_ppm(view)
             for k, view in enumerate(views, start=1)
@@ -254,9 +254,9 @@ def _cmd_augment(args, manifest: Manifest) -> int:
     if not input_dir.is_dir():
         raise UsageError(f"input directory not found: {input_dir}")
     policy_path = Path(args.policy)
-    # validate before spawning, through the cache that tasks run in this
-    # process (or forked from it) reuse, so the soil bank is built once
-    plan, _ = _cached_policy(str(policy_path), args.seed)
+    pol = _load_run_policy(policy_path, args.seed)
+    plan = compile_policy(pol)
+    bank = _soil_bank(policy_path, pol, plan.needs_bank)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -273,11 +273,8 @@ def _cmd_augment(args, manifest: Manifest) -> int:
         manifest.add("views_written", 0)
         return EXIT_OK
 
-    tasks = [
-        (index, str(path), str(out_dir), str(policy_path), args.seed)
-        for index, path in enumerate(files)
-    ]
-    with _worker_pool(workers) as pool:
+    tasks = [(index, str(path), str(out_dir)) for index, path in enumerate(files)]
+    with _worker_pool(workers, {None: plan}, bank) as pool:
         t0 = time.perf_counter()
         results = _pool_map(_augment_task, tasks, pool)
         elapsed = time.perf_counter() - t0
@@ -335,19 +332,23 @@ def _cmd_soilbank(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_dataset(args, cfg: tinytrain.TrainConfig):
+    """The ``--synthetic`` or ``--data`` training images; at least a batch."""
     if args.synthetic is not None:
-        return tinytrain.make_synthetic_corpus(
+        images = tinytrain.make_synthetic_corpus(
             args.synthetic, size=cfg.input_size, seed=derive_seed(cfg.seed, 0xDA7A)
         )
-    data_dir = Path(args.data)
-    if not data_dir.is_dir():
-        raise UsageError(f"data directory not found: {data_dir}")
-    images = []
-    for path in _sorted_ppms(data_dir):
-        try:
-            images.append(load_ppm(path.read_bytes()))
-        except CodecError as exc:
-            raise UsageError(f"{path}: {exc}") from exc
+    else:
+        data_dir = Path(args.data)
+        if not data_dir.is_dir():
+            raise UsageError(f"data directory not found: {data_dir}")
+        images = []
+        for path in _sorted_ppms(data_dir):
+            try:
+                images.append(load_ppm(path.read_bytes()))
+            except CodecError as exc:
+                raise UsageError(f"{path}: {exc}") from exc
+    if len(images) < cfg.batch_size:
+        raise UsageError(f"dataset has {len(images)} images, batch size is {cfg.batch_size}")
     return images
 
 
@@ -376,25 +377,19 @@ def _cmd_pretrain(args, manifest: Manifest) -> int:
             raise UsageError(f"--seed: {exc}") from exc
 
     policy_path = Path(args.policy)
-    synthetic = args.synthetic is not None
-    pol, bank = _load_policy_and_bank(policy_path, None, allow_missing_bank=synthetic)
-    if synthetic and bank is None and any(
-        e.name == "background_invariance" for e in pol.entries
-    ):
-        bank = _synthesize_bank(cfg.input_size, cfg.seed)
+    pol = _load_run_policy(policy_path, None)
+    plan = compile_policy(pol)
+    bank = _soil_bank(policy_path, pol, plan.needs_bank,
+                      cfg if args.synthetic is not None else None)
 
     dataset = _load_dataset(args, cfg)
-    if len(dataset) < cfg.batch_size:
-        raise UsageError(
-            f"dataset has {len(dataset)} images, batch size is {cfg.batch_size}"
-        )
 
     out_path = Path(args.out)
     trace_path = out_path.with_suffix(out_path.suffix + ".trace.csv")
     manifest.add("dataset_images", len(dataset))
     manifest.add("policy", policy_path)
     try:
-        ckpt, trace = tinytrain.pretrain(dataset, pol, cfg, soil_bank=bank)
+        ckpt, trace = tinytrain.pretrain(dataset, plan, cfg, soil_bank=bank)
     except tinytrain.TrainingDiverged as exc:
         # keep the steps that ran; no checkpoint of a diverged model, nor
         # an earlier run's that the new trace does not describe
@@ -466,11 +461,11 @@ def _cmd_gradcheck(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------------------
 
 def _bench_task(task) -> None:
-    in_path, policy_path, seed_override, index, only_entry = task
-    plan, bank = _cached_policy(policy_path, seed_override, only_entry)
+    in_path, index, stage = task
+    plan = _RUN["plans"][stage]
     img = load_ppm(Path(in_path).read_bytes())
     stream = RandomStream(derive_seed(plan.master_seed, index))
-    apply_policy(img, plan, stream, soil_bank=bank)
+    apply_policy(img, plan, stream, soil_bank=_RUN["bank"])
 
 
 def _cmd_bench(args, manifest: Manifest) -> int:
@@ -478,7 +473,9 @@ def _cmd_bench(args, manifest: Manifest) -> int:
     if not input_dir.is_dir():
         raise UsageError(f"input directory not found: {input_dir}")
     policy_path = Path(args.policy)
-    plan, _ = _cached_policy(str(policy_path), args.seed)
+    pol = _load_run_policy(policy_path, args.seed)
+    plan = compile_policy(pol)
+    bank = _soil_bank(policy_path, pol, plan.needs_bank)
     files = _sorted_ppms(input_dir)
     if not files:
         raise UsageError(f"no .ppm images in {input_dir}")
@@ -490,16 +487,14 @@ def _cmd_bench(args, manifest: Manifest) -> int:
     manifest.add("workers_used", workers)
     manifest.add("repeat", args.repeat)
 
-    stages = [e.name for e in plan.entries] + [None]
+    plans = {e.name: _cell_policy(pol, (e.name,)) for e in plan.entries}
+    plans[None] = plan
     print(f"benchmark: {len(files)} images, median of {args.repeat}, "
           f"workers={workers}")
-    with _worker_pool(workers) as pool:
-        for stage in stages:
+    with _worker_pool(workers, plans, bank) as pool:
+        for stage in plans:
             label = stage if stage is not None else "end_to_end"
-            tasks = [
-                (str(path), str(policy_path), args.seed, index, stage)
-                for index, path in enumerate(files)
-            ]
+            tasks = [(str(path), index, stage) for index, path in enumerate(files)]
             times = []
             for _ in range(args.repeat):
                 t0 = time.perf_counter()
@@ -554,23 +549,11 @@ def _run_cell(dataset, cell: Plan, bank, cfg: tinytrain.TrainConfig):
     )
 
 
-def _write_grid(path: Path, names, values: dict) -> None:
-    header = "first\\second," + ",".join(names)
-    rows = [header]
-    for a in names:
-        row = [a] + [f"{values[(a, b)]!r}" for b in names]
-        rows.append(",".join(row))
-    path.write_text("\n".join(rows) + "\n")
-
-
 def _cmd_order_sweep(args, manifest: Manifest) -> int:
     if args.pairs == args.full:
         raise UsageError("exactly one of --pairs / --full is required")
     policy_path = Path(args.policy)
-    synthetic = args.synthetic is not None
-    base, bank = _load_policy_and_bank(policy_path, args.seed,
-                                       allow_missing_bank=synthetic)
-
+    base = _load_run_policy(policy_path, args.seed)
     cfg = tinytrain.TrainConfig(
         batch_size=args.batch,
         learning_rate=args.lr,
@@ -581,23 +564,25 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
         input_size=args.input_size,
         max_steps=args.steps,
     )
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.full and args.names:
         sweep_names = tuple(n.strip() for n in args.names.split(","))
-        for n in sweep_names:
+        for i, n in enumerate(sweep_names):
             if n not in AUGMENTATION_NAMES:
                 raise UsageError(f"unknown augmentation {n!r} in --names")
+            if n in sweep_names[:i]:
+                raise UsageError(f"augmentation {n!r} repeated in --names")
     elif args.full:
         sweep_names = tuple(e.name for e in base.entries[:3])
     else:
         sweep_names = AUGMENTATION_NAMES
+    bank = _soil_bank(policy_path, base, "background_invariance" in sweep_names,
+                      cfg if args.synthetic is not None else None)
 
     dataset = _load_dataset(args, cfg)
-    if len(dataset) < cfg.batch_size:
-        raise UsageError(
-            f"dataset has {len(dataset)} images, batch size is {cfg.batch_size}"
-        )
-    if bank is None and "background_invariance" in sweep_names:
-        bank = _synthesize_bank(cfg.input_size, cfg.seed)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -606,37 +591,30 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
     manifest.add("steps", args.steps)
     manifest.add("out_dir", out_dir)
 
-    def proxy_of(loss, dmean, omean):
-        return {"offdiag": omean, "loss": loss, "diag": dmean}[args.metric_proxy]
-
-    cells_rows = ["order,loss,diag_mean,offdiag_mean"]
+    # each order to run, with the label of its summary line
     if args.pairs:
-        names = sweep_names
-        loss_grid, diag_grid, off_grid = {}, {}, {}
-        for a in names:
-            for b in names:
-                order = (a,) if a == b else (a, b)
-                loss, dmean, omean = _run_cell(dataset, _cell_policy(base, order), bank, cfg)
-                loss_grid[(a, b)] = loss
-                diag_grid[(a, b)] = dmean
-                off_grid[(a, b)] = omean
-                cells_rows.append(f"{'+'.join(order)},{loss!r},{dmean!r},{omean!r}")
-                print(f"cell {a:22s} -> {b:22s} {args.metric_proxy}="
-                      f"{proxy_of(loss, dmean, omean):.4f}")
-        _write_grid(out_dir / "grid_offdiag.csv", names, off_grid)
-        _write_grid(out_dir / "grid_loss.csv", names, loss_grid)
-        _write_grid(out_dir / "grid_diag.csv", names, diag_grid)
-        manifest.add("cells", len(names) ** 2)
+        # the single-augmentation cell sits on the grid's diagonal
+        orders = {(a,) if a == b else (a, b): f"cell {a:22s} -> {b:22s}"
+                  for a in sweep_names for b in sweep_names}
     else:
-        count = 0
-        for order in itertools.permutations(sweep_names):
-            loss, dmean, omean = _run_cell(dataset, _cell_policy(base, order), bank, cfg)
-            cells_rows.append(f"{'+'.join(order)},{loss!r},{dmean!r},{omean!r}")
-            print(f"order {'+'.join(order)}: {args.metric_proxy}="
-                  f"{proxy_of(loss, dmean, omean):.4f}")
-            count += 1
-        manifest.add("cells", count)
-    (out_dir / "cells.csv").write_text("\n".join(cells_rows) + "\n")
+        orders = {o: f"order {'+'.join(o)}:" for o in itertools.permutations(sweep_names)}
+    proxy = ("loss", "diag", "offdiag").index(args.metric_proxy)
+    cells = {}
+    for order, label in orders.items():
+        cells[order] = _run_cell(dataset, _cell_policy(base, order), bank, cfg)
+        print(f"{label} {args.metric_proxy}={cells[order][proxy]:.4f}")
+    rows = ["order,loss,diag_mean,offdiag_mean"]
+    rows += [f"{'+'.join(o)}," + ",".join(map(repr, cell)) for o, cell in cells.items()]
+    (out_dir / "cells.csv").write_text("\n".join(rows) + "\n")
+    if args.pairs:
+        # row a, column b holds the cell that runs a, then b
+        by_pair = {(o[0], o[-1]): cell for o, cell in cells.items()}
+        for column, name in enumerate(("loss", "diag", "offdiag")):
+            rows = ["first\\second," + ",".join(sweep_names)]
+            rows += [",".join([a] + [f"{by_pair[a, b][column]!r}" for b in sweep_names])
+                     for a in sweep_names]
+            (out_dir / f"grid_{name}.csv").write_text("\n".join(rows) + "\n")
+    manifest.add("cells", len(cells))
     return EXIT_OK
 
 
@@ -782,7 +760,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_pretrain)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_at_least_one, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manifest", default=None)
     p.set_defaults(handler=_cmd_gradcheck)

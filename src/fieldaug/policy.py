@@ -210,6 +210,15 @@ class PlanEntry:
     probability: float
     values: MappingProxyType  # the merged parameters, see _merged
 
+    def __reduce__(self):
+        # a mappingproxy does not pickle, and pool workers that are not
+        # forked receive their plans pickled
+        return _plan_entry, (self.name, self.probability, dict(self.values))
+
+
+def _plan_entry(name: str, probability: float, values: dict) -> PlanEntry:
+    return PlanEntry(name, probability, MappingProxyType(values))
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -229,8 +238,7 @@ def compile_policy(policy: Policy | Plan) -> Plan:
         return policy
     validate_policy(policy)
     entries = tuple(
-        PlanEntry(e.name, e.probability, MappingProxyType(_merged(e.name, e.params)))
-        for e in policy.entries
+        _plan_entry(e.name, e.probability, _merged(e.name, e.params)) for e in policy.entries
     )
     return Plan(
         entries=entries,

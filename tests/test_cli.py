@@ -1,3 +1,5 @@
+import functools
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -9,8 +11,8 @@ import pytest
 
 import fieldaug
 from fieldaug import cli, metrics as mx, tinytrain as tt
-from fieldaug.imagecore import save_ppm
-from fieldaug.policy import default_policy, save_policy
+from fieldaug.imagecore import load_ppm, save_ppm
+from fieldaug.policy import default_policy, load_policy, make_views, save_policy
 
 from conftest import make_plant_image, make_soil_images
 
@@ -70,6 +72,39 @@ class TestAugmentCommand:
             b = (workspace / "out2" / name).read_bytes()
             assert a == b, name
 
+    def test_workers_started_by_spawn_write_the_same_bytes(self, workspace, monkeypatch):
+        # a spawned worker receives the plan and soil bank pickled
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                            functools.partial(cli.ProcessPoolExecutor, mp_context=spawn))
+        for workers in (1, 2):
+            assert cli.main([
+                "augment", "--input", str(workspace / "in"),
+                "--output", str(workspace / f"out{workers}"),
+                "--policy", str(workspace / "policy.txt"),
+                "--workers", str(workers),
+            ]) == 0
+        out1, out2 = workspace / "out1", workspace / "out2"
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_policy_edited_between_calls_is_read_again(self, workspace):
+        policy = workspace / "edited.policy"
+        for seed, text in ((1, "seed=1\ngaussian_blur 1.0\n"), (2, "seed=2\nmixing 1.0\n")):
+            policy.write_text(text)
+            out = workspace / f"out{seed}"
+            assert cli.main([
+                "augment", "--input", str(workspace / "in"),
+                "--output", str(out), "--policy", str(policy),
+            ]) == 0
+            assert f"master_seed={seed}" in (workspace / f"out{seed}.manifest.txt").read_text()
+            for index, path in enumerate(sorted((workspace / "in").glob("*.ppm"))):
+                views = make_views(load_ppm(path.read_bytes()), load_policy(text), index)
+                for k, view in enumerate(views, start=1):
+                    assert (out / f"{path.stem}.v{k}.ppm").read_bytes() == save_ppm(view)
+
     def test_soil_bank_built_once_and_one_pool(self, workspace, monkeypatch):
         built = []
         build = cli.augment.build_soil_bank
@@ -81,14 +116,13 @@ class TestAugmentCommand:
         monkeypatch.setattr(cli.augment, "build_soil_bank", counted_build)
         pools = count_pools(monkeypatch)
         for workers in (1, 2):
-            monkeypatch.setattr(cli, "_WORKER_CACHE", {})
             assert cli.main([
                 "augment", "--input", str(workspace / "in"),
                 "--output", str(workspace / f"out{workers}"),
                 "--policy", str(workspace / "policy.txt"),
                 "--workers", str(workers),
             ]) == 0
-            # one bank per call: worker processes inherit it or build their own
+            # one bank per call, handed to the worker processes
             assert len(built) == 1
             built.clear()
         assert pools == [2]
@@ -394,8 +428,8 @@ def count_pools(monkeypatch) -> list:
 # Counts the minor page faults per view of a second `augment` call in a
 # fresh process, so that the allocator starts at its defaults (the inputs
 # are written by the test process). In "main" mode the first `cli.main`
-# call sets the allocator; "task" mode runs the same per-file work
-# without it.
+# call sets the allocator; "task" mode runs the same per-file work in
+# this process, through the one-worker pool, without it.
 _FAULTS_SCRIPT = """
 import resource, sys
 from pathlib import Path
@@ -409,9 +443,11 @@ def augment(out):
                          str(outputs / out), "--policy", str(root / "p.policy")]) == 0
         return
     (outputs / out).mkdir()
-    for i, path in enumerate(inputs):
-        task = (i, str(path), str(outputs / out), str(root / "p.policy"), None)
-        assert cli._augment_task(task)[1] == ""
+    pol = cli._load_run_policy(root / "p.policy", None)
+    plan = cli.compile_policy(pol)
+    with cli._worker_pool(1, {None: plan}, cli._soil_bank(root / "p.policy", pol, True)):
+        for i, path in enumerate(inputs):
+            assert cli._augment_task((i, str(path), str(outputs / out)))[1] == ""
 
 augment("warm")
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -466,13 +502,19 @@ class TestFreedMemory:
 
         class RecordingPool(cli.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                initializers.append(kwargs.get("initializer"))
+                initializers.append((kwargs.get("initializer"), kwargs.get("initargs")))
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        with cli._worker_pool(2) as pool:
+        with cli._worker_pool(2, {}, None) as pool:
             assert pool is not None
-        assert initializers == [cli._keep_freed_memory]
+        [(initializer, initargs)] = initializers
+        # run the recorded initializer here, with the allocator call counted
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+        monkeypatch.setattr(cli, "_RUN", {})
+        initializer(*initargs)
+        assert calls == [1]
 
 
 class TestBenchCommand:
@@ -509,6 +551,9 @@ class TestCountFlags:
         ["bench", "--workers", "0"],
         ["augment", "--workers", "0", "--output", "out"],
         ["augment", "--workers", "-3", "--output", "out"],
+        # gradcheck takes no --input or --policy; the bad count fails first
+        ["gradcheck", "--trials", "0"],
+        ["gradcheck", "--trials", "-3"],
     ])
     def test_counts_below_one_rejected_before_any_output(self, workspace, capsys, argv):
         argv = argv + ["--input", str(workspace / "in"), "--policy", str(workspace / "policy.txt")]
@@ -530,8 +575,9 @@ class TestCountFlags:
         class InlinePool:
             """Stands in for the process pool, so no process is started."""
 
-            def __init__(self, max_workers, initializer):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -543,6 +589,7 @@ class TestCountFlags:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_RUN", {})
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         manifest = workspace / f"{command}.manifest.txt"
         argv = [command, "--input", str(workspace / "in"), "--policy",
@@ -556,6 +603,32 @@ class TestCountFlags:
         assert started == ([used] if used > 1 else [])
         lines = manifest.read_text().splitlines()
         assert f"workers={requested}" in lines and f"workers_used={used}" in lines
+
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--batch", "1"], "batch_size must be >= 2"),
+        (["--steps", "0"], "max_steps must be positive"),
+        (["--lr", "nan"], "learning_rate must be finite, got nan"),
+        (["--names", "gaussian_blur,gaussian_blur"], "'gaussian_blur' repeated in --names"),
+        # the policy names no soil bank, and only --synthetic runs make one
+        (["--names", "background_invariance"], "uses background_invariance but sets no soil_bank"),
+    ])
+    def test_order_sweep_flags_rejected_at_load(self, workspace, capsys, flags, message):
+        policy = workspace / "blur.policy"
+        policy.write_text("gaussian_blur 0.9\n")
+        out_dir = workspace / "sweep"
+        code = cli.main([
+            "order-sweep", "--full", "--names", "gaussian_blur", "--policy", str(policy),
+            "--data", str(workspace / "in"), "--out-dir", str(out_dir),
+            "--steps", "2", "--batch", "4", "--embed-dim", "4", "--input-size", "8", *flags,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        # nothing but the error manifest is written
+        assert [p.name for p in out_dir.iterdir()] == ["manifest.txt"]
+        assert "status=error" in (out_dir / "manifest.txt").read_text()
 
 
 class TestOrderSweepCommand:
@@ -576,6 +649,27 @@ class TestOrderSweepCommand:
         assert cells[0] == "order,loss,diag_mean,offdiag_mean"
         assert len(cells) == 3  # two permutations
         assert "status=ok" in (tmp_path / "sweep" / "manifest.txt").read_text()
+
+    def test_uses_the_bank_the_policy_names_without_background_entry(self, workspace,
+                                                                      monkeypatch):
+        policy = workspace / "blur.policy"
+        policy.write_text(f"soil_bank={workspace / 'bank'}\ngaussian_blur 0.9\n")
+        banks = []
+        build = cli.augment.build_soil_bank
+
+        def recorded_build(images, *args, **kwargs):
+            banks.append([img.shape for img in images])
+            return build(images, *args, **kwargs)
+
+        monkeypatch.setattr(cli.augment, "build_soil_bank", recorded_build)
+        assert cli.main([
+            "order-sweep", "--full", "--names", "background_invariance",
+            "--policy", str(policy), "--synthetic", "8",
+            "--out-dir", str(workspace / "sweep"),
+            "--steps", "2", "--batch", "4", "--embed-dim", "4", "--input-size", "8",
+        ]) == 0
+        # the three 24 px images of the named bank, not 32 synthetic ones
+        assert banks == [[(24, 24, 3)] * 3]
 
     def test_requires_exactly_one_mode(self, tmp_path):
         policy = tmp_path / "policy.txt"
