@@ -552,6 +552,8 @@ def _run_cell(dataset, cell: Plan, bank, cfg: tinytrain.TrainConfig):
 def _cmd_order_sweep(args, manifest: Manifest) -> int:
     if args.pairs == args.full:
         raise UsageError("exactly one of --pairs / --full is required")
+    if args.pairs and args.names is not None:
+        raise UsageError("--names applies to --full only; --pairs sweeps all six")
     policy_path = Path(args.policy)
     base = _load_run_policy(policy_path, args.seed)
     cfg = tinytrain.TrainConfig(
@@ -568,7 +570,7 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.full and args.names:
+    if args.names:
         sweep_names = tuple(n.strip() for n in args.names.split(","))
         for i, n in enumerate(sweep_names):
             if n not in AUGMENTATION_NAMES:
@@ -781,7 +783,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="all ordered pairs plus single-augmentation diagonal (6x6 grid)")
     p.add_argument("--full", action="store_true",
                    help="all permutations of --names (default: first 3 policy entries)")
-    p.add_argument("--names", default=None, help="comma list of augmentations for --full")
+    p.add_argument("--names", default=None, help="comma list of augmentations (--full only)")
     p.add_argument("--policy", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--data")

@@ -2,10 +2,10 @@
 
 A tiny MLP encoder stands in for a large convolutional backbone; the
 projector keeps the reference structure (two linear+batchnorm+ReLU blocks
-followed by a linear layer). Forward and backward passes are written out
-by hand over a single flat float64 parameter vector, so the whole
-composite gradient can be checked against finite differences and training
-is bit-reproducible.
+followed by a linear layer). One layer table, ``_LAYERS``, drives the
+parameter layout and the hand-written forward and backward passes over a
+single flat float64 parameter vector, so the whole composite gradient can
+be checked against finite differences and training is bit-reproducible.
 
 Parameter vector layout, in order, each tensor row-major:
 
@@ -18,7 +18,8 @@ Parameter vector layout, in order, each tensor row-major:
 with in_dim = input_size * input_size * 3. Linear layers compute
 ``x @ W.T + b``. Batch norm layers share the loss-side convention
 (population std, epsilon added to the std) and keep running mean/std
-buffers (EMA, momentum 0.1) outside the parameter vector.
+buffers (EMA, momentum 0.1) outside the parameter vector, in the order
+proj1 mean, proj1 std, proj2 mean, proj2 std.
 """
 
 from __future__ import annotations
@@ -110,23 +111,26 @@ class TrainConfig:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
+# One row per layer, input to output: name, output width (None: embed_dim),
+# batch norm after the linear map, ReLU after that.
+_LAYERS = (
+    ("enc1", ENC_HIDDEN, False, True),
+    ("enc2", ENC_OUT, False, False),
+    ("proj1", PROJ_HIDDEN, True, True),
+    ("proj2", PROJ_HIDDEN, True, True),
+    ("out", None, False, False),
+)
+
+
 def _param_specs(in_dim: int, embed_dim: int):
-    return (
-        ("enc1_w", (ENC_HIDDEN, in_dim)),
-        ("enc1_b", (ENC_HIDDEN,)),
-        ("enc2_w", (ENC_OUT, ENC_HIDDEN)),
-        ("enc2_b", (ENC_OUT,)),
-        ("proj1_w", (PROJ_HIDDEN, ENC_OUT)),
-        ("proj1_b", (PROJ_HIDDEN,)),
-        ("proj1_gamma", (PROJ_HIDDEN,)),
-        ("proj1_beta", (PROJ_HIDDEN,)),
-        ("proj2_w", (PROJ_HIDDEN, PROJ_HIDDEN)),
-        ("proj2_b", (PROJ_HIDDEN,)),
-        ("proj2_gamma", (PROJ_HIDDEN,)),
-        ("proj2_beta", (PROJ_HIDDEN,)),
-        ("out_w", (embed_dim, PROJ_HIDDEN)),
-        ("out_b", (embed_dim,)),
-    )
+    specs = []
+    for name, width, norm, _ in _LAYERS:
+        width = embed_dim if width is None else width
+        specs += [(f"{name}_w", (width, in_dim)), (f"{name}_b", (width,))]
+        if norm:
+            specs += [(f"{name}_gamma", (width,)), (f"{name}_beta", (width,))]
+        in_dim = width
+    return tuple(specs)
 
 
 class TinyModel:
@@ -157,10 +161,8 @@ class TinyModel:
             size = int(np.prod(shape))
             self._views[name] = self.params[offset:offset + size].reshape(shape)
             offset += size
-        self.run_mean1 = np.zeros(PROJ_HIDDEN)
-        self.run_std1 = np.ones(PROJ_HIDDEN)
-        self.run_mean2 = np.zeros(PROJ_HIDDEN)
-        self.run_std2 = np.ones(PROJ_HIDDEN)
+        # running mean and std of each norm layer in turn
+        self.running = np.tile([[0.0], [1.0]], (2, PROJ_HIDDEN))
         self.step = 0
 
     def param(self, name: str) -> np.ndarray:
@@ -171,18 +173,13 @@ class TinyModel:
         return self.params.size
 
     def buffers(self) -> np.ndarray:
-        return np.concatenate(
-            [self.run_mean1, self.run_std1, self.run_mean2, self.run_std2]
-        )
+        return self.running.flatten()
 
     def set_buffers(self, buffers: np.ndarray) -> None:
         buffers = np.asarray(buffers, dtype=np.float64)
-        if buffers.shape != (4 * PROJ_HIDDEN,):
-            raise ValueError(f"expected {4 * PROJ_HIDDEN} buffer values")
-        self.run_mean1 = buffers[0:PROJ_HIDDEN].copy()
-        self.run_std1 = buffers[PROJ_HIDDEN:2 * PROJ_HIDDEN].copy()
-        self.run_mean2 = buffers[2 * PROJ_HIDDEN:3 * PROJ_HIDDEN].copy()
-        self.run_std2 = buffers[3 * PROJ_HIDDEN:].copy()
+        if buffers.shape != (self.running.size,):
+            raise ValueError(f"expected {self.running.size} buffer values")
+        self.running = buffers.reshape(self.running.shape).copy()
 
 
 def init_model(input_size: int = 16, embed_dim: int = 8, seed: int = 0) -> TinyModel:
@@ -223,19 +220,13 @@ def prepare_batch(images, input_size: int) -> np.ndarray:
 
 
 def _as_input(model: TinyModel, batch) -> np.ndarray:
-    if isinstance(batch, np.ndarray) and batch.dtype == np.uint8:
-        if batch.ndim != 4 or batch.shape[1:] != (model.input_size, model.input_size, 3):
-            raise ValueError(
-                f"byte batch must be (n, {model.input_size}, {model.input_size}, 3), "
-                f"got {batch.shape}"
-            )
-        return batch.reshape(batch.shape[0], -1).astype(np.float64) / 255.0
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.in_dim:
+    """Float (n, in_dim) batches only; byte images go through prepare_batch."""
+    batch = np.asarray(batch)
+    if batch.dtype.kind != "f" or batch.ndim != 2 or batch.shape[1] != model.in_dim:
         raise ValueError(
-            f"float batch must be (n, {model.in_dim}), got {batch.shape}"
+            f"batch must be float (n, {model.in_dim}), got {batch.dtype} {batch.shape}"
         )
-    return batch
+    return batch.astype(np.float64, copy=False)
 
 
 def _bn_forward(x, gamma, beta, run_mean, run_std, training, update_stats):
@@ -254,32 +245,19 @@ def _bn_forward(x, gamma, beta, run_mean, run_std, training, update_stats):
 
 
 def _forward_cached(model: TinyModel, x: np.ndarray, training: bool, update_stats: bool):
+    """Embeddings and, per layer, (input, pre-ReLU output, norm cache)."""
     p = model.param
-    a1 = x @ p("enc1_w").T + p("enc1_b")
-    r1 = np.maximum(a1, 0.0)
-    enc = r1 @ p("enc2_w").T + p("enc2_b")
-
-    q1 = enc @ p("proj1_w").T + p("proj1_b")
-    bn1_out, bn1 = _bn_forward(
-        q1, p("proj1_gamma"), p("proj1_beta"),
-        model.run_mean1, model.run_std1, training, update_stats,
-    )
-    r2 = np.maximum(bn1_out, 0.0)
-
-    q2 = r2 @ p("proj2_w").T + p("proj2_b")
-    bn2_out, bn2 = _bn_forward(
-        q2, p("proj2_gamma"), p("proj2_beta"),
-        model.run_mean2, model.run_std2, training, update_stats,
-    )
-    r3 = np.maximum(bn2_out, 0.0)
-
-    z = r3 @ p("out_w").T + p("out_b")
-    cache = {
-        "x": x, "a1": a1, "r1": r1, "enc": enc,
-        "bn1": bn1, "bn1_out": bn1_out, "r2": r2,
-        "bn2": bn2, "bn2_out": bn2_out, "r3": r3,
-    }
-    return z, cache
+    stats = iter(model.running.reshape(-1, 2, PROJ_HIDDEN))
+    cache = []
+    for name, _, norm, relu in _LAYERS:
+        y = x @ p(f"{name}_w").T + p(f"{name}_b")
+        bn = None
+        if norm:
+            y, bn = _bn_forward(y, p(f"{name}_gamma"), p(f"{name}_beta"),
+                                *next(stats), training, update_stats)
+        cache.append((x, y, bn))
+        x = np.maximum(y, 0.0) if relu else y
+    return x, cache
 
 
 def forward(model: TinyModel, batch, training: bool = True,
@@ -291,40 +269,22 @@ def forward(model: TinyModel, batch, training: bool = True,
     return z
 
 
-def _backward_view(model: TinyModel, cache, gz, grads) -> None:
+def _backward_view(model: TinyModel, cache, g, grads) -> None:
     p = model.param
-
-    grads["out_w"] += gz.T @ cache["r3"]
-    grads["out_b"] += gz.sum(axis=0)
-    g = gz @ p("out_w")
-
-    g = g * (cache["bn2_out"] > 0)
-    xhat2, sigma2, denom2 = cache["bn2"]
-    grads["proj2_gamma"] += (g * xhat2).sum(axis=0)
-    grads["proj2_beta"] += g.sum(axis=0)
-    g = twins._normalize_backward(g * p("proj2_gamma"), xhat2, sigma2, denom2)
-
-    grads["proj2_w"] += g.T @ cache["r2"]
-    grads["proj2_b"] += g.sum(axis=0)
-    g = g @ p("proj2_w")
-
-    g = g * (cache["bn1_out"] > 0)
-    xhat1, sigma1, denom1 = cache["bn1"]
-    grads["proj1_gamma"] += (g * xhat1).sum(axis=0)
-    grads["proj1_beta"] += g.sum(axis=0)
-    g = twins._normalize_backward(g * p("proj1_gamma"), xhat1, sigma1, denom1)
-
-    grads["proj1_w"] += g.T @ cache["enc"]
-    grads["proj1_b"] += g.sum(axis=0)
-    g = g @ p("proj1_w")
-
-    grads["enc2_w"] += g.T @ cache["r1"]
-    grads["enc2_b"] += g.sum(axis=0)
-    g = g @ p("enc2_w")
-
-    g = g * (cache["a1"] > 0)
-    grads["enc1_w"] += g.T @ cache["x"]
-    grads["enc1_b"] += g.sum(axis=0)
+    for i in reversed(range(len(_LAYERS))):
+        name, _, norm, relu = _LAYERS[i]
+        x, y, bn = cache[i]
+        if relu:
+            g = g * (y > 0)
+        if norm:
+            xhat, sigma, denom = bn
+            grads[f"{name}_gamma"] += (g * xhat).sum(axis=0)
+            grads[f"{name}_beta"] += g.sum(axis=0)
+            g = twins._normalize_backward(g * p(f"{name}_gamma"), xhat, sigma, denom)
+        grads[f"{name}_w"] += g.T @ x
+        grads[f"{name}_b"] += g.sum(axis=0)
+        if i:
+            g = g @ p(f"{name}_w")
 
 
 def _backward_stats(model, x1, x2, lam, update_stats):
@@ -521,24 +481,18 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     except ValueError as exc:
         raise CheckpointError(f"invalid config: {exc}") from None
 
-    (param_count,), pos = take("<Q", pos)
-    expected = sum(int(np.prod(s)) for _, s in _param_specs(input_size * input_size * 3, embed_dim))
-    if param_count != expected:
-        raise CheckpointError(f"parameter count {param_count}, expected {expected}")
-    nbytes = param_count * 8
-    if pos + nbytes > len(data):
-        raise CheckpointError("truncated parameter payload")
-    params = np.frombuffer(data, dtype="<f8", count=param_count, offset=pos).copy()
-    pos += nbytes
+    def take_f64s(offset, expected, what):
+        (count,), offset = take("<Q", offset)
+        if count != expected:
+            raise CheckpointError(f"{what} count {count}, expected {expected}")
+        end = offset + count * 8
+        if end > len(data):
+            raise CheckpointError(f"truncated {what} payload")
+        return np.frombuffer(data, dtype="<f8", count=count, offset=offset).copy(), end
 
-    (buffer_count,), pos = take("<Q", pos)
-    if buffer_count != 4 * PROJ_HIDDEN:
-        raise CheckpointError(f"buffer count {buffer_count}, expected {4 * PROJ_HIDDEN}")
-    nbytes = buffer_count * 8
-    if pos + nbytes > len(data):
-        raise CheckpointError("truncated buffer payload")
-    buffers = np.frombuffer(data, dtype="<f8", count=buffer_count, offset=pos).copy()
-    pos += nbytes
+    param_count = sum(int(np.prod(s)) for _, s in _param_specs(input_size * input_size * 3, embed_dim))
+    params, pos = take_f64s(pos, param_count, "parameter")
+    buffers, pos = take_f64s(pos, 4 * PROJ_HIDDEN, "buffer")
     if pos != len(data):
         raise CheckpointError(f"{len(data) - pos} trailing bytes")
 
@@ -605,19 +559,7 @@ def model_grad_check(
             indices.extend(sorted(chosen))
         offset += size
 
-    worst = 0.0
-    flat = model.params
-    for idx in indices:
-        orig = flat[idx]
-        flat[idx] = orig + h
-        up = loss_at()
-        flat[idx] = orig - h
-        down = loss_at()
-        flat[idx] = orig
-        fd = (up - down) / (2.0 * h)
-        err = abs(grad[idx] - fd) / max(abs(grad[idx]), abs(fd), floor)
-        worst = max(worst, err)
-    return worst
+    return twins._max_fd_error(model.params, grad, indices, loss_at, h, floor)
 
 
 # ---------------------------------------------------------------------------

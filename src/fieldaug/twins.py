@@ -128,6 +128,24 @@ def bt_loss_grad(
     return g1, g2, loss
 
 
+def _max_fd_error(flat, grad, indices, loss_at, h, floor) -> float:
+    """Max over ``indices`` of |grad[i] - fd| / max(|grad[i]|, |fd|, floor),
+    where fd is the central difference of ``loss_at()`` as ``flat[i]`` is
+    moved by +-h in place (and restored)."""
+    worst = 0.0
+    for i in indices:
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_at()
+        flat[i] = orig - h
+        down = loss_at()
+        flat[i] = orig
+        fd = (up - down) / (2.0 * h)
+        err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), floor)
+        worst = max(worst, err)
+    return worst
+
+
 def finite_diff_check(
     z1: np.ndarray, z2: np.ndarray, lam: float = DEFAULT_LAMBDA, h: float = 1e-4
 ) -> float:
@@ -140,24 +158,11 @@ def finite_diff_check(
     z2 = _as_batch(z2).copy()
     g1, g2, _ = bt_loss_grad(z1, z2, lam)
 
-    def loss_at(a, b):
-        return bt_loss_grad(a, b, lam)[2]
+    def loss_at():
+        return bt_loss_grad(z1, z2, lam)[2]
 
-    worst = 0.0
-    for z, g in ((z1, g1), (z2, g2)):
-        flat = z.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_at(z1, z2)
-            flat[i] = orig - h
-            down = loss_at(z1, z2)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * h)
-            a = g.reshape(-1)[i]
-            err = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
-            worst = max(worst, err)
-    return worst
+    return max(_max_fd_error(z.reshape(-1), g.reshape(-1), range(z.size), loss_at, h, 1e-8)
+               for z, g in ((z1, g1), (z2, g2)))
 
 
 def diag_mean(c: np.ndarray) -> float:

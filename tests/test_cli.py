@@ -614,11 +614,23 @@ class TestCountFlags:
         (["--names", "background_invariance"], "uses background_invariance but sets no soil_bank"),
     ])
     def test_order_sweep_flags_rejected_at_load(self, workspace, capsys, flags, message):
-        policy = workspace / "blur.policy"
-        policy.write_text("gaussian_blur 0.9\n")
+        self._assert_sweep_rejected_at_load(
+            workspace, capsys, ["--full", "--names", "gaussian_blur", *flags], message)
+
+    def test_order_sweep_pairs_rejects_names_at_load(self, workspace, capsys):
+        # this policy names a soil bank, so every other check passes
+        self._assert_sweep_rejected_at_load(
+            workspace, capsys, ["--pairs", "--names", "gaussian_blur"],
+            "--names applies to --full only", workspace / "policy.txt")
+
+    @staticmethod
+    def _assert_sweep_rejected_at_load(workspace, capsys, flags, message, policy=None):
+        if policy is None:
+            policy = workspace / "blur.policy"
+            policy.write_text("gaussian_blur 0.9\n")
         out_dir = workspace / "sweep"
         code = cli.main([
-            "order-sweep", "--full", "--names", "gaussian_blur", "--policy", str(policy),
+            "order-sweep", "--policy", str(policy),
             "--data", str(workspace / "in"), "--out-dir", str(out_dir),
             "--steps", "2", "--batch", "4", "--embed-dim", "4", "--input-size", "8", *flags,
         ])

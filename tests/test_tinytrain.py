@@ -3,6 +3,7 @@ import pytest
 
 from fieldaug import policy as P
 from fieldaug import tinytrain as tt
+from fieldaug import twins as tw
 from fieldaug.augment import build_soil_bank
 from fieldaug.policy import Policy, PolicyEntry
 
@@ -14,6 +15,28 @@ def small_model(seed=0):
 def small_batch(model, n=4, seed=1):
     rng = np.random.default_rng(seed)
     return rng.random((n, model.in_dim))
+
+
+def reference_forward(model, x, training):
+    """The network written out layer by layer: two encoder layers, then
+    linear+norm+ReLU twice and a linear output."""
+    p = model.param
+    mean1, std1, mean2, std2 = model.buffers().reshape(4, tt.PROJ_HIDDEN)
+
+    def norm(q, gamma, beta, run_mean, run_std):
+        if training:
+            xhat = (q - q.mean(axis=0)) / (q.std(axis=0) + tw.BN_EPS)
+        else:
+            xhat = (q - run_mean) / (run_std + tw.BN_EPS)
+        return gamma * xhat + beta
+
+    r1 = np.maximum(x @ p("enc1_w").T + p("enc1_b"), 0.0)
+    enc = r1 @ p("enc2_w").T + p("enc2_b")
+    q1 = enc @ p("proj1_w").T + p("proj1_b")
+    r2 = np.maximum(norm(q1, p("proj1_gamma"), p("proj1_beta"), mean1, std1), 0.0)
+    q2 = r2 @ p("proj2_w").T + p("proj2_b")
+    r3 = np.maximum(norm(q2, p("proj2_gamma"), p("proj2_beta"), mean2, std2), 0.0)
+    return r3 @ p("out_w").T + p("out_b")
 
 
 def tiny_policy(seed=0):
@@ -42,6 +65,28 @@ class TestModel:
         )
         assert model.num_params == expected
 
+    def test_specs_pin_the_documented_layout(self):
+        model = tt.TinyModel(input_size=4, embed_dim=5)
+        assert model.specs == (
+            ("enc1_w", (64, 48)), ("enc1_b", (64,)),
+            ("enc2_w", (32, 64)), ("enc2_b", (32,)),
+            ("proj1_w", (32, 32)), ("proj1_b", (32,)),
+            ("proj1_gamma", (32,)), ("proj1_beta", (32,)),
+            ("proj2_w", (32, 32)), ("proj2_b", (32,)),
+            ("proj2_gamma", (32,)), ("proj2_beta", (32,)),
+            ("out_w", (5, 32)), ("out_b", (5,)),
+        )
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward_matches_layer_by_layer_reference(self, training):
+        model = small_model(seed=4)
+        rng = np.random.default_rng(6)
+        # non-trivial statistics in both norm layers, stds kept positive
+        model.set_buffers(rng.normal(size=4 * tt.PROJ_HIDDEN) ** 2 + 0.1)
+        x = small_batch(model, n=5)
+        assert np.array_equal(tt.forward(model, x, training=training),
+                              reference_forward(model, x, training))
+
     def test_duplicate_inputs_identical_rows(self):
         model = small_model()
         x = small_batch(model, n=3)
@@ -57,9 +102,11 @@ class TestModel:
         assert np.array_equal(tt.forward(a, x), tt.forward(b, x))
 
     def test_byte_batch_shape_checked(self):
+        # image batches go through prepare_batch, even at the input size
         model = small_model()
-        with pytest.raises(ValueError, match="byte batch"):
-            tt.forward(model, np.zeros((2, 5, 5, 3), np.uint8))
+        for batch in (np.zeros((2, 4, 4, 3), np.uint8), np.zeros((2, 4, 4, 3))):
+            with pytest.raises(ValueError, match=r"batch must be float \(n, 48\)"):
+                tt.forward(model, batch)
 
     def test_weight_sharing_single_storage(self):
         # both views read the same flat vector; the named views are
@@ -76,6 +123,16 @@ class TestModel:
         tt.train_step(model, x1, x2, cfg)
         after = tt.forward(model, x1, training=False)
         assert not np.array_equal(before, after)
+
+    def test_train_step_moves_every_buffer_row(self):
+        model = small_model()
+        x1, x2 = small_batch(model, seed=2), small_batch(model, seed=3)
+        cfg = tt.TrainConfig(batch_size=4, input_size=4, embed_dim=4, learning_rate=0.01)
+        before = model.buffers().reshape(4, tt.PROJ_HIDDEN)
+        tt.train_step(model, x1, x2, cfg)
+        after = model.buffers().reshape(4, tt.PROJ_HIDDEN)
+        # mean and std rows of both norm layers
+        assert np.all((after != before).any(axis=1))
 
 
 class TestBackward:
@@ -229,7 +286,7 @@ class TestCheckpointCodec:
     def test_round_trip_bit_identical(self):
         model = small_model(seed=3)
         model.step = 41
-        model.run_mean1[:] = np.linspace(-1, 1, 32)
+        model.set_buffers(np.linspace(-1, 1, 4 * tt.PROJ_HIDDEN))
         cfg = tt.TrainConfig(input_size=4, embed_dim=4, max_steps=17)
         ckpt = tt.make_checkpoint(model, cfg)
         back = tt.load_checkpoint(tt.save_checkpoint(ckpt))
