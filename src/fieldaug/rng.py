@@ -11,12 +11,17 @@ without coordination.
 
 Bulk draws (``u64s``, ``below_many``, ``uniforms``, ``bytes``) return numpy
 arrays holding exactly the values that the same number of scalar calls
-would return, and leave the stream where those calls would. Large draws
-use the generator's linearity over GF(2): the state transition is a
-256x256 bit matrix T, so lanes started ``BLOCK`` draws apart (by powers
-of T**BLOCK, the jump technique of Blackman and Vigna, "Scrambled linear
-pseudorandom number generators", ACM TOMS 2021) can all be stepped at
-once as ``uint64`` arrays.
+would return, and the next draw is the one those calls would give. Large
+draws use the generator's linearity over GF(2): the state transition is a
+256x256 bit matrix T, so lanes started ``BLOCK`` (or ``2 * BLOCK``) draws
+apart (by powers of T**BLOCK, the jump technique of Blackman and Vigna,
+"Scrambled linear pseudorandom number generators", ACM TOMS 2021) can all
+be stepped at once as ``uint64`` arrays. A lane pass's cost is mostly
+fixed (the jumps to the lane starts and the per-step array calls), so a
+pass for a large draw also computes the ``READ_AHEAD`` draws after it and
+keeps them for the stream's next calls, scalar or bulk. A default-policy
+view of a 128 px image makes one lane pass, where it made 3.875 without
+the read-ahead (one for mixing and one per random-erasing rectangle).
 """
 
 from __future__ import annotations
@@ -32,12 +37,22 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _TWO53_INV = 2.0 ** -53
 
-# Draws per lane, and the draw count from which seeding and stepping lanes
-# beats the scalar loop. Both were measured on a 2-core Xeon VM with
-# CPython 3.11 and numpy 2.4 (figures in CHANGES.md).
+# Draws per lane (in passes of up to LANES_PER_PASS * BLOCK draws), and the
+# draw count from which seeding and stepping lanes beats the scalar loop.
+# Both were measured on a 2-core Xeon VM with CPython 3.11 and numpy 2.4
+# (figures in CHANGES.md).
 BLOCK = 16
 CROSSOVER = 512
-# Lanes stepped together in one pass; bounds the pass's buffers.
+# A lane pass for a draw of READ_AHEAD values or more also computes the
+# next READ_AHEAD, which the stream hands out before stepping again: a
+# 128 px view's mixing pass then covers its random-erasing fills. Smaller
+# draws read nothing ahead; a 16 px synthetic image's stream makes one
+# 768-value draw and ends, so an extra jump level there would be waste.
+READ_AHEAD = 8192
+# Most lanes stepped together in one pass. A pass of more draws than
+# LANES_PER_PASS * BLOCK starts its lanes 2 * BLOCK draws apart, so a pass
+# holds at most 32,768 draws (256 KiB per buffer): a 128 px mixing draw and
+# its read-ahead (16,384 + 8,192) take one pass of 768 lanes.
 LANES_PER_PASS = 1024
 
 # _JUMPS[i] is T**(BLOCK * 2**i) as a (1024, 4) table of u64 words
@@ -147,9 +162,14 @@ def _jump(level: int) -> np.ndarray:
 
 class RandomStream:
     """xoshiro256** with 256-bit state, seeded by splitmix64 expansion of a
-    64-bit seed (four successive outputs fill the state words)."""
+    64-bit seed (four successive outputs fill the state words).
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
+    A lane pass may compute more draws than it was asked for. ``_ahead`` keeps
+    those output values, unread from index ``_read`` on, or is None when
+    all are read; the state words sit after the last of them, so the
+    stream's position is theirs less the unread count."""
+
+    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_ahead", "_read")
 
     def __init__(self, seed: int):
         state = seed & MASK64
@@ -158,8 +178,17 @@ class RandomStream:
             state = (state + GOLDEN_GAMMA) & MASK64
             words.append(_mix(state))
         self._s0, self._s1, self._s2, self._s3 = words
+        self._ahead: np.ndarray | None = None
+        self._read = 0
 
     def next_u64(self) -> int:
+        ahead = self._ahead
+        if ahead is not None:
+            read = self._read
+            self._read = read + 1
+            if read + 1 == len(ahead):
+                self._ahead = None
+            return int(ahead[read])
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         x = (s1 * 5) & MASK64
         result = ((((x << 7) | (x >> 57)) & MASK64) * 9) & MASK64
@@ -209,37 +238,59 @@ class RandomStream:
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return words
 
-    def _lane_s1_words(self, out: np.ndarray) -> None:
-        """Advance ``len(out)`` draws, a multiple of BLOCK, by stepping one
-        lane per BLOCK draws, all together; ``out`` receives the s1 words
-        in draw order."""
-        lanes = len(out) // BLOCK
-        states = np.array([[self._s0, self._s1, self._s2, self._s3]], dtype=_U64)
-        level = 0
-        while len(states) < lanes:
-            more = _apply(_jump(level), states[:lanes - len(states)])
-            states = np.concatenate([states, more])
-            level += 1
+    def _lane_s1_words(self, out: np.ndarray, steps: int) -> None:
+        """Advance ``len(out)`` draws, a multiple of ``steps`` (BLOCK times
+        a power of two), by stepping one lane per ``steps`` draws, all
+        together; ``out`` receives the s1 words in draw order."""
+        lanes = len(out) // steps
+        states = np.empty((lanes, 4), dtype=_U64)
+        states[0] = self._s0, self._s1, self._s2, self._s3
+        # _jump(k) moves BLOCK * 2**k draws; each level doubles the lanes
+        level, have = (steps // BLOCK).bit_length() - 1, 1
+        while have < lanes:
+            more = min(have, lanes - have)
+            states[have:have + more] = _apply(_jump(level), states[:more])
+            level, have = level + 1, have + more
         state = np.ascontiguousarray(states.T)
-        words = np.empty((BLOCK, lanes), dtype=_U64)
-        _run_lanes(state, BLOCK, words)
+        words = np.empty((steps, lanes), dtype=_U64)
+        _run_lanes(state, steps, words)
         # the last lane ends where len(out) scalar draws would
         self._s0, self._s1, self._s2, self._s3 = (int(w) for w in state[:, -1])
-        out.reshape(lanes, BLOCK)[...] = words.T
+        out.reshape(lanes, steps)[...] = words.T
 
     def u64s(self, n: int) -> np.ndarray:
-        """``n`` draws as a uint64 array: the values of ``n`` calls of
-        :meth:`next_u64`, leaving the stream where those calls would."""
+        """``n`` draws as a new uint64 array: the values of ``n`` calls of
+        :meth:`next_u64`, after which the next draw is the one those calls
+        would give."""
         if n < 0:
             raise ValueError("n must be non-negative")
         out = np.empty(n, dtype=_U64)
         done = 0
+        if self._ahead is not None:
+            done = min(n, len(self._ahead) - self._read)
+            out[:done] = self._ahead[self._read:self._read + done]
+            self._read += done
+            if self._read == len(self._ahead):
+                self._ahead = None
         while n - done >= CROSSOVER:
-            size = min(n - done, LANES_PER_PASS * BLOCK) // BLOCK * BLOCK
-            self._lane_s1_words(out[done:done + size])
-            done += size
-        out[done:] = self._s1_words(n - done)
-        return _scramble(out)
+            rest = n - done
+            want = rest + (READ_AHEAD if rest >= READ_AHEAD else 0)
+            # past LANES_PER_PASS lanes, jumps to more lane starts cost more
+            # than the extra steps of lanes twice as long
+            steps = BLOCK if want <= LANES_PER_PASS * BLOCK else 2 * BLOCK
+            size = min(want, LANES_PER_PASS * steps) // steps * steps
+            words = np.empty(size, dtype=_U64)
+            self._lane_s1_words(words, steps)
+            values = _scramble(words)
+            take = min(size, rest)
+            out[done:done + take] = values[:take]
+            done += take
+            if take < size:
+                self._ahead, self._read = values, take
+        if done < n:
+            out[done:] = self._s1_words(n - done)
+            _scramble(out[done:])
+        return out
 
     def _floats(self, n: int) -> np.ndarray:
         bits = self.u64s(n)

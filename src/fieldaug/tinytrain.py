@@ -179,7 +179,17 @@ class TinyModel:
         buffers = np.asarray(buffers, dtype=np.float64)
         if buffers.shape != (self.running.size,):
             raise ValueError(f"expected {self.running.size} buffer values")
+        _check_running(buffers)
         self.running = buffers.reshape(self.running.shape).copy()
+
+
+def _check_running(buffers: np.ndarray) -> None:
+    """Running statistics must be finite, and no running std negative:
+    eval mode divides by std + epsilon."""
+    if not np.all(np.isfinite(buffers)):
+        raise ValueError("running statistics contain non-finite values")
+    if np.any(buffers.reshape(-1, PROJ_HIDDEN)[1::2] < 0):
+        raise ValueError("running std is negative")
 
 
 def init_model(input_size: int = 16, embed_dim: int = 8, seed: int = 0) -> TinyModel:
@@ -495,6 +505,12 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     buffers, pos = take_f64s(pos, 4 * PROJ_HIDDEN, "buffer")
     if pos != len(data):
         raise CheckpointError(f"{len(data) - pos} trailing bytes")
+    if not np.all(np.isfinite(params)):
+        raise CheckpointError("invalid parameters: non-finite values")
+    try:
+        _check_running(buffers)
+    except ValueError as exc:
+        raise CheckpointError(f"invalid buffers: {exc}") from None
 
     return Checkpoint(
         input_size=input_size, embed_dim=embed_dim, step=step,

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fieldaug import rng
+from fieldaug import augment, policy, rng, tinytrain
 from fieldaug.rng import MASK64, RandomStream, derive_seed, splitmix64
+
+# draws in a pass of LANES_PER_PASS lanes of BLOCK draws; the largest pass is twice that
+PASS = rng.LANES_PER_PASS * rng.BLOCK
 
 
 def test_same_seed_same_sequence():
@@ -81,6 +86,9 @@ def test_shuffle_is_permutation():
 BULK_SIZES = sorted({
     0, 1, rng.BLOCK - 1, rng.BLOCK, rng.BLOCK + 1,
     rng.CROSSOVER - 1, rng.CROSSOVER, rng.CROSSOVER + 1, 16384, 49152,
+    PASS - 1, PASS + 1, 2 * PASS + 1,
+    # read-ahead on or off, and a draw whose read-ahead overruns the largest pass
+    rng.READ_AHEAD - 1, rng.READ_AHEAD + 1, 2 * PASS - rng.READ_AHEAD + 1,
 })
 
 # (bulk call, the scalar call it must repeat n times)
@@ -121,3 +129,77 @@ def test_bulk_draw_validation():
         s.below_many(3, 0)
     with pytest.raises(ValueError):
         s.below_many(2, [4, -1])
+
+
+def _bounds(n):
+    return np.arange(n) % 97 + 1
+
+
+def _shuffled(s, n):
+    items = list(range(n % 40))
+    s.shuffle(items)
+    return items
+
+
+# scalar calls, each giving a list; n sets a bound or a length
+SCALAR_CALLS = {
+    "next_u64": lambda s, n: [s.next_u64()],
+    "next_float64": lambda s, n: [s.next_float64()],
+    "next_below": lambda s, n: [s.next_below(n + 1)],
+    "uniform": lambda s, n: [s.uniform(-1.0, 3.0)],
+    "shuffle": _shuffled,
+}
+
+# (call under test, the scalar-only calls it must equal), each giving a list
+INTERLEAVED = {
+    **{name: (call, call) for name, call in SCALAR_CALLS.items()},
+    **{name: (lambda s, n, bulk=bulk: bulk(s, n).tolist(),
+              lambda s, n, scalar=scalar: [scalar(s) for _ in range(n)])
+       for name, (bulk, scalar) in BULK_METHODS.items()},
+    "below_many_per_draw": (lambda s, n: s.below_many(n, _bounds(n)).tolist(),
+                            lambda s, n: [s.next_below(int(k)) for k in _bounds(n)]),
+}
+
+DRAW_SIZES = st.one_of(
+    st.integers(0, 3 * rng.BLOCK),
+    st.sampled_from(BULK_SIZES),
+    st.integers(0, 2 * PASS + rng.BLOCK),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, MASK64),
+       calls=st.lists(st.tuples(st.sampled_from(sorted(INTERLEAVED)), DRAW_SIZES), max_size=6))
+@example(seed=1, calls=[("u64s", rng.READ_AHEAD), ("next_u64", 0), ("bytes", 100),
+                        ("below_many_per_draw", PASS + 1), ("shuffle", 30),
+                        ("uniforms", 2 * PASS + 1), ("next_below", 6)])
+@example(seed=2, calls=[("below_many", 16384), ("bytes", rng.READ_AHEAD - 1),
+                        ("uniforms", 3), ("u64s", rng.CROSSOVER)])
+# scalar draws that run the read-ahead out: shuffling 8 items makes 7
+@example(seed=3, calls=[("u64s", rng.READ_AHEAD), ("bytes", rng.READ_AHEAD - 3),
+                        ("shuffle", 8), ("u64s", 5)])
+def test_interleaved_calls_equal_scalar_calls(seed, calls):
+    # a twin stream that only ever makes scalar calls is the oracle
+    a, b = RandomStream(seed), RandomStream(seed)
+    for name, n in calls:
+        call, scalar_calls = INTERLEAVED[name]
+        assert call(a, n) == scalar_calls(b, n), name
+    assert a.next_u64() == b.next_u64()
+
+
+def test_one_lane_pass_per_128px_view(monkeypatch):
+    # the read-ahead of mixing's pass serves the view's erasing fills
+    corpus = tinytrain.make_synthetic_corpus(8, 128, seed=derive_seed(0, 1))
+    bank = augment.build_soil_bank(tinytrain.make_synthetic_soil(32, 16, seed=derive_seed(0, 2)))
+    pol = policy.default_policy(derive_seed(0, 3))
+    passes = []
+    lane_pass = RandomStream._lane_s1_words
+
+    def counted(stream, *args):
+        passes.append(len(args[0]))
+        return lane_pass(stream, *args)
+
+    monkeypatch.setattr(RandomStream, "_lane_s1_words", counted)
+    for i, img in enumerate(corpus):
+        policy.make_views(img, pol, i, soil_bank=bank)
+    assert len(passes) <= 1.25 * 2 * len(corpus)

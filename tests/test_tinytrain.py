@@ -282,11 +282,22 @@ class TestPretrain:
         assert np.array_equal(a.params, b.params)
 
 
+# (buffer index, value): one NaN mean, and a running std of -5 in each norm layer
+BAD_BUFFERS = [
+    (3, float("nan")),
+    (tt.PROJ_HIDDEN + 5, -5.0),
+    (3 * tt.PROJ_HIDDEN + 1, -5.0),
+    (2 * tt.PROJ_HIDDEN, float("inf")),
+]
+
+
 class TestCheckpointCodec:
     def test_round_trip_bit_identical(self):
         model = small_model(seed=3)
         model.step = 41
-        model.set_buffers(np.linspace(-1, 1, 4 * tt.PROJ_HIDDEN))
+        buffers = np.linspace(-1, 1, 4 * tt.PROJ_HIDDEN).reshape(4, -1)
+        buffers[1::2] += 2  # running std rows may not be negative
+        model.set_buffers(buffers.ravel())
         cfg = tt.TrainConfig(input_size=4, embed_dim=4, max_steps=17)
         ckpt = tt.make_checkpoint(model, cfg)
         back = tt.load_checkpoint(tt.save_checkpoint(ckpt))
@@ -323,6 +334,23 @@ class TestCheckpointCodec:
         for key, value in config.items():
             setattr(ckpt.config, key, value)
         with pytest.raises(tt.CheckpointError, match="invalid config"):
+            tt.load_checkpoint(tt.save_checkpoint(ckpt))
+
+    @pytest.mark.parametrize("index, value", BAD_BUFFERS)
+    def test_bad_running_statistics_rejected(self, index, value):
+        model = small_model()
+        ckpt = tt.make_checkpoint(model, tt.TrainConfig(input_size=4, embed_dim=4))
+        ckpt.buffers[index] = value
+        with pytest.raises(tt.CheckpointError, match="invalid buffers"):
+            tt.load_checkpoint(tt.save_checkpoint(ckpt))
+        with pytest.raises(ValueError):
+            model.set_buffers(ckpt.buffers)
+        assert np.array_equal(model.buffers(), tt.TinyModel(4, 4).buffers())
+
+    def test_non_finite_parameters_rejected(self):
+        ckpt = tt.make_checkpoint(small_model(), tt.TrainConfig(input_size=4, embed_dim=4))
+        ckpt.params[7] = float("nan")
+        with pytest.raises(tt.CheckpointError, match="invalid parameters"):
             tt.load_checkpoint(tt.save_checkpoint(ckpt))
 
     def test_trailing_bytes_rejected(self):
