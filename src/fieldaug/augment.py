@@ -83,13 +83,12 @@ SOIL_MAX_FRACTION = 0.05
 
 _LUMA = np.array([0.299, 0.587, 0.114])
 
-# Per 60-degree hue sector, which of R, G, B take the chroma and which
-# take the middle value before minc is added back; the rest take 0.
-_TAKES_CHROMA = np.array(
-    [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1], [1, 0, 0]], dtype=bool
-)
-_TAKES_MID = np.array(
-    [[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=bool
+# Per 60-degree hue sector (columns), the candidate plane of ``_rotate_hue``
+# each of R, G, B (rows) reads: 0, the middle value or the chroma, plus minc.
+# Column 6 repeats sector 0 for a hue that wraps to exactly 1.0 (hp = 6);
+# column 7 passes a pixel without a hue through (its own channels 3, 4, 5).
+_HUE_SOURCES = np.array(
+    [[2, 1, 0, 0, 1, 2, 2, 3], [1, 2, 2, 1, 0, 0, 1, 4], [0, 0, 1, 2, 2, 1, 0, 5]]
 )
 
 
@@ -147,9 +146,8 @@ def apply_affine(img: np.ndarray, p: AffineParams) -> np.ndarray:
 
     cx = (w - 1) / 2.0
     cy = (h - 1) / 2.0
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    dx = us - cx - p.t_x
-    dy = vs - cy - p.t_y
+    dx = np.arange(w, dtype=np.float64) - cx - p.t_x
+    dy = (np.arange(h, dtype=np.float64) - cy - p.t_y)[:, None]
     src_x = inv[0, 0] * dx + inv[0, 1] * dy + cx
     src_y = inv[1, 0] * dx + inv[1, 1] * dy + cy
 
@@ -186,10 +184,11 @@ def sample_color_jitter(
 
 
 def _rotate_hue(x: np.ndarray, hue: float) -> np.ndarray:
-    """Hue rotation via HSV. Pixels whose channel max is <= 0 (possible
-    after unclamped contrast) have no defined hue and pass through; they
-    clamp to black at byte conversion anyway."""
-    r, g, b = x[:, :, 0], x[:, :, 1], x[:, :, 2]
+    """Hue rotation via HSV of (3, H, W) channel planes, returning new
+    planes. Pixels whose channel max is <= 0 (possible after unclamped
+    contrast) have no defined hue and pass through; they clamp to black at
+    byte conversion anyway."""
+    r, g, b = x
     maxc = np.maximum(np.maximum(r, g), b)
     minc = np.minimum(np.minimum(r, g), b)
     delta = maxc - minc
@@ -201,23 +200,28 @@ def _rotate_hue(x: np.ndarray, hue: float) -> np.ndarray:
     # values; `% 1.0` is `h - floor(h)` and `% 2.0` is `hp - 2 floor(hp / 2)`.
     red = (g - b) / safe_delta
     np.add(red, 6.0, out=red, where=red < 0)
-    h6 = np.where(
+    # in one buffer: h6, then h = h6 / 6.0 + hue wrapped into [0, 1], then hp
+    hp = np.where(
         maxc == r,
         red,
         np.where(maxc == g, (b - r) / safe_delta + 2.0, (r - g) / safe_delta + 4.0),
     )
-    h = h6 / 6.0 + hue
-    h -= np.floor(h)
-
-    hp = h * 6.0
-    sector = np.floor(hp).astype(np.int64) % 6
+    hp /= 6.0
+    hp += hue
+    hp -= np.floor(hp)
+    hp *= 6.0
     c_mid = delta * (1.0 - np.abs(hp - 2.0 * np.floor(hp / 2.0) - 1.0))
-    rotated = np.where(
-        _TAKES_CHROMA.take(sector, axis=0),
-        delta[:, :, None],
-        np.where(_TAKES_MID.take(sector, axis=0), c_mid[:, :, None], 0.0),
-    ) + minc[:, :, None]
-    return np.where(active[:, :, None], rotated, x)
+    candidates = np.empty((6,) + r.shape)
+    np.add(0.0, minc, out=candidates[0])
+    np.add(c_mid, minc, out=candidates[1])
+    np.add(delta, minc, out=candidates[2])
+    candidates[3:] = x
+    # hp is in [0, 6]; an inactive pixel reads column 7 of the table
+    column = np.floor(hp).astype(np.intp)
+    np.copyto(column, 7, where=~active)
+    flat = (_HUE_SOURCES * r.size).take(column, axis=1)
+    flat += np.arange(r.size).reshape(r.shape)
+    return candidates.take(flat)
 
 
 def color_jitter(img: np.ndarray, p: ColorJitterParams) -> np.ndarray:
@@ -228,17 +232,19 @@ def color_jitter(img: np.ndarray, p: ColorJitterParams) -> np.ndarray:
     """
     img = ensure_u8(img)
     x = img.astype(np.float64)
-
-    x = x * p.brightness
+    x *= p.brightness
 
     mean_luma = float((x @ _LUMA).mean())
     x = mean_luma + (x - mean_luma) * p.contrast
 
-    luma = (x @ _LUMA)[:, :, None]
-    x = luma + (x - luma) * p.saturation
+    # saturation and hue work on channel planes
+    luma = x @ _LUMA
+    x = np.subtract(x.transpose(2, 0, 1), luma, order="C")
+    x *= p.saturation
+    x += luma
 
-    x = _rotate_hue(x, p.hue)
-    return u8_from_float(x)
+    out = u8_from_float(_rotate_hue(x, p.hue))
+    return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +288,16 @@ def mixing(img: np.ndarray, rng: RandomStream) -> np.ndarray:
     probability. One draw per pixel, row-major order."""
     img = ensure_u8(img)
     h, w = img.shape[:2]
-    choices = rng.below_many(h * w, 3).reshape(h, w)
-    sources = np.stack([img, flip_x(img), flip_y(img)])
-    vv, uu = np.ogrid[:h, :w]
-    return sources[choices, vv, uu]
+    choices = rng.below_many(h * w, 3)
+    # flat index of each pixel's source pixel in the image, its x-flip and
+    # its y-flip; choice c of pixel i reads sources.flat[c * h * w + i]
+    sources = np.empty((3, h, w), dtype=np.intp)
+    sources[0] = np.arange(h * w).reshape(h, w)
+    sources[1] = flip_x(sources[0])
+    sources[2] = flip_y(sources[0])
+    choices *= h * w
+    choices += sources[0].ravel()
+    return img.reshape(-1, 3).take(sources.take(choices), axis=0).reshape(h, w, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +387,7 @@ def background_invariance(
     all-background mask returns the resized soil image unchanged.
     ``mask``, when given, must be ``refined_vegetation_mask(img, theta)``;
     callers that transplant one image more than once pass it to skip the
-    mask pipeline.
+    mask pipeline. Anything but a bool (H, W) array raises ValueError.
     """
     img = ensure_u8(img)
     if len(bank) == 0:
@@ -384,6 +396,8 @@ def background_invariance(
 
     if mask is None:
         mask = refined_vegetation_mask(img, theta)
+    elif getattr(mask, "dtype", None) != bool or mask.shape != (h, w):
+        raise ValueError(f"mask must be a bool array of shape {(h, w)}")
     idx = rng.next_below(len(bank))
     dx = math.floor(rng.uniform(-TRANSLATE_FRAC * w, TRANSLATE_FRAC * w) + 0.5)
     dy = math.floor(rng.uniform(-TRANSLATE_FRAC * h, TRANSLATE_FRAC * h) + 0.5)
@@ -392,6 +406,8 @@ def background_invariance(
     u_lo, u_hi = max(0, -dx), min(w, w - dx)
     v_lo, v_hi = max(0, -dy), min(h, h - dy)
     if u_hi > u_lo and v_hi > v_lo:
-        sub = mask[v_lo:v_hi, u_lo:u_hi]
-        out[v_lo + dy:v_hi + dy, u_lo + dx:u_hi + dx][sub] = img[v_lo:v_hi, u_lo:u_hi][sub]
+        # repeated over channels: copyto is several times slower with a mask that broadcasts
+        sub = mask[v_lo:v_hi, u_lo:u_hi, None].repeat(3, axis=2)
+        window = out[v_lo + dy:v_hi + dy, u_lo + dx:u_hi + dx]
+        np.copyto(window, img[v_lo:v_hi, u_lo:u_hi], where=sub)
     return out

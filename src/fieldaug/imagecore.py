@@ -167,12 +167,15 @@ def channel_mean(img: np.ndarray) -> np.ndarray:
 def normalize_image(img: np.ndarray) -> np.ndarray:
     """Per-channel standardization (x - mean) / (population std + 1e-8)."""
     img = ensure_u8(img)
-    pixels = img.reshape(-1, 3)
-    dev = pixels - channel_mean(img)
-    # the population std as numpy's std computes it: the squared
-    # deviations of the (N, 3) array summed over axis 0, row by row
-    std = np.sqrt((dev * dev).sum(axis=0) / len(pixels))
-    return (dev / (std + NORM_EPS)).astype(np.float32).reshape(img.shape)
+    n = img.shape[0] * img.shape[1]
+    dev = np.ascontiguousarray(img.reshape(n, 3).T) - channel_mean(img)[:, None]
+    # the population std as numpy's std computes it: squared deviations summed
+    # row by row down the (N, 3) pixels, a running sum along each plane
+    sq = dev * dev
+    std = np.sqrt(np.cumsum(sq, axis=1, out=sq)[:, -1] / n)
+    out = np.empty(img.shape, dtype=np.float32)
+    np.divide(dev, (std + NORM_EPS)[:, None], out=out.reshape(n, 3).T)
+    return out
 
 
 def bilinear_sample_grid(

@@ -198,6 +198,15 @@ class TestBackgroundInvariance:
         with pytest.raises(ValueError, match="empty"):
             au.background_invariance(plant_image, au.SoilBank(), RandomStream(1))
 
+    @pytest.mark.parametrize("kind", ["uint8", "one column"])
+    def test_mask_must_be_bool_of_image_shape(self, plant_image, soil_bank, kind):
+        # a 0/1 uint8 mask would index pixels by number, and an (H, 1)
+        # mask would broadcast across the columns
+        mask = au.refined_vegetation_mask(plant_image)
+        mask = mask.astype(np.uint8) if kind == "uint8" else mask[:, :1]
+        with pytest.raises(ValueError, match="mask must be"):
+            au.background_invariance(plant_image, soil_bank, RandomStream(3), mask=mask)
+
     def test_all_background_mask_returns_soil(self, soil_bank):
         # constant brown image: normalization zeroes it, the mask is empty
         img = np.full((24, 24, 3), (120, 90, 60), np.uint8)
