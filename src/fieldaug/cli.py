@@ -113,10 +113,7 @@ def _soil_bank(policy_path: Path, pol: Policy, needed: bool,
         bank_dir = Path(pol.soil_bank_path)
         if not bank_dir.is_absolute():
             bank_dir = policy_path.parent / bank_dir
-        if not bank_dir.is_dir():
-            raise UsageError(f"soil bank directory not found: {bank_dir}")
-        images = [load_ppm(p.read_bytes()) for p in sorted(bank_dir.glob("*.ppm"))]
-        bank = augment.build_soil_bank(images, pol.theta)
+        bank = augment.build_soil_bank(_read_ppms(bank_dir), pol.theta)
         if len(bank) == 0:
             raise UsageError(f"soil bank {bank_dir} admitted no images")
         return bank
@@ -211,6 +208,20 @@ def _pool_map(fn, tasks: list, pool) -> list:
 
 def _sorted_ppms(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.ppm"), key=lambda p: p.name)
+
+
+def _read_ppms(directory: Path) -> list[np.ndarray]:
+    """Every .ppm image in ``directory``, by name; a missing directory or
+    an unreadable image is a usage error naming it."""
+    if not directory.is_dir():
+        raise UsageError(f"directory not found: {directory}")
+    images = []
+    for path in _sorted_ppms(directory):
+        try:
+            images.append(load_ppm(path.read_bytes()))
+        except CodecError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +349,7 @@ def _load_dataset(args, cfg: tinytrain.TrainConfig):
             args.synthetic, size=cfg.input_size, seed=derive_seed(cfg.seed, 0xDA7A)
         )
     else:
-        data_dir = Path(args.data)
-        if not data_dir.is_dir():
-            raise UsageError(f"data directory not found: {data_dir}")
-        images = []
-        for path in _sorted_ppms(data_dir):
-            try:
-                images.append(load_ppm(path.read_bytes()))
-            except CodecError as exc:
-                raise UsageError(f"{path}: {exc}") from exc
+        images = _read_ppms(Path(args.data))
     if len(images) < cfg.batch_size:
         raise UsageError(f"dataset has {len(images)} images, batch size is {cfg.batch_size}")
     return images
@@ -723,6 +726,23 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = _finite(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fieldaug",
@@ -743,8 +763,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("soilbank", help="filter images into a low-vegetation soil bank")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--max-fraction", type=float, default=augment.SOIL_MAX_FRACTION)
+    p.add_argument("--theta", type=_finite, default=0.0)
+    p.add_argument("--max-fraction", type=_fraction, default=augment.SOIL_MAX_FRACTION)
     p.add_argument("--manifest", default=None)
     p.set_defaults(handler=_cmd_soilbank)
 
@@ -806,7 +826,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("semantic", "instance"), required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--iou-threshold", type=float, default=0.5)
+    p.add_argument("--iou-threshold", type=_fraction, default=0.5)
     p.add_argument("--csv", default=None, help="write the CSV here instead of stdout")
     p.add_argument("--manifest", default=None)
     p.set_defaults(handler=_cmd_eval)

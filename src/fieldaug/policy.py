@@ -58,50 +58,56 @@ __all__ = [
     "derive_seed",
 ]
 
-# Application probabilities, and the default order below: background work
-# first so color changes cannot corrupt the vegetation mask.
+# Application probabilities, in the default order: background work first
+# so color changes cannot corrupt the vegetation mask.
 DEFAULT_PROBABILITIES = {
-    "color_jitter": 1.0,
-    "random_erasing": 1.0,
-    "gaussian_blur": 0.9,
-    "mixing": 0.9,
     "background_invariance": 0.8,
     "affine": 0.8,
+    "mixing": 0.9,
+    "gaussian_blur": 0.9,
+    "color_jitter": 1.0,
+    "random_erasing": 1.0,
 }
-
-DEFAULT_ORDER = (
-    "background_invariance",
-    "affine",
-    "mixing",
-    "gaussian_blur",
-    "color_jitter",
-    "random_erasing",
-)
 
 # Each augmentation's parameters as (default, bounds), in the order the
 # checks run. A tuple default is a range that a policy overrides through
 # ``<key>_min`` / ``<key>_max``; an int default makes an integer key. The
 # bounds map a comparison to its limit ("in" is an open interval) and hold
-# for a value or for both ends of a range.
+# for a value or for both ends of a range. They keep every kernel finite
+# and non-singular at every value they admit, for an image of any size.
 PARAMETERS = {
     "affine": {
-        "scale": (augment.SCALE_RANGE, {">": 0}),
-        "rotation": (augment.ROTATION_RANGE, {}),
-        "shear": (augment.SHEAR_RANGE, {}),
-        "translate_frac": (augment.TRANSLATE_FRAC, {}),
+        # det(scale * rotation * shear) = scale^2 * (1 - shear_x * shear_y),
+        # and apply_affine rejects |det| < 1e-12. scale >= 0.01 and
+        # |shear| <= 1 - 1e-8 give det >= 1e-4 * (1 - (1 - 1e-8)^2)
+        # = 1e-4 * 2e-8 = 2e-12; one more 9 of shear (2e-13) or scale
+        # 0.005 (5e-13) is singular. scale <= 100 keeps det <= 2e4
+        "scale": (augment.SCALE_RANGE, {">": 0, ">=": 0.01, "<=": 100}),
+        # a range's width must be finite for uniform() to draw from it;
+        # within 1e6 a drawn angle keeps a resolution of about 1e-10
+        "rotation": (augment.ROTATION_RANGE, {">=": -1e6, "<=": 1e6}),
+        # |shear| <= 1 - 1e-8, derived with scale above
+        "shear": (augment.SHEAR_RANGE, {">=": -0.99999999, "<=": 0.99999999}),
+        # the inverse warp is at most 1e10 (scale 0.01, det 2e-12), so
+        # source coordinates stay below 1e17 times the image width
+        "translate_frac": (augment.TRANSLATE_FRAC, {">=": -1e6, "<=": 1e6}),
     },
+    # the three factors multiply: a pixel stays below 1e22, and any sum of
+    # those over an image is finite; hue is bounded as rotation is
     "color_jitter": {
-        "brightness": (augment.BRIGHTNESS_RANGE, {}),
-        "contrast": (augment.CONTRAST_RANGE, {}),
-        "saturation": (augment.SATURATION_RANGE, {}),
-        "hue": (augment.HUE_RANGE, {}),
+        "brightness": (augment.BRIGHTNESS_RANGE, {">=": -1e6, "<=": 1e6}),
+        "contrast": (augment.CONTRAST_RANGE, {">=": -1e6, "<=": 1e6}),
+        "saturation": (augment.SATURATION_RANGE, {">=": -1e6, "<=": 1e6}),
+        "hue": (augment.HUE_RANGE, {">=": -1e6, "<=": 1e6}),
     },
-    # blur time and memory grow linearly with sigma; 32 is a radius of 96
-    "gaussian_blur": {"sigma": (augment.SIGMA_RANGE, {">": 0, "<=": 32})},
+    # blur time and memory grow linearly with sigma; 32 is a radius of 96.
+    # sigma >= 1e-150 keeps 2 sigma^2 a normal float, so its taps are finite
+    "gaussian_blur": {"sigma": (augment.SIGMA_RANGE, {">": 0, ">=": 1e-150, "<=": 32})},
     "mixing": {},
     "random_erasing": {
         "area": (augment.ERASE_AREA_RANGE, {">": 0, "<=": 1}),
-        "aspect": (augment.ERASE_ASPECT_RANGE, {">": 0}),
+        # a rectangle's sides are sqrt(area * aspect) and sqrt(area / aspect)
+        "aspect": (augment.ERASE_ASPECT_RANGE, {">": 0, ">=": 1e-6, "<=": 1e6}),
         "min_fraction": (augment.ERASE_MIN_FRACTION, {"in": (0, 0.5)}),
         "max_rects": (augment.ERASE_MAX_RECTS, {">=": 1}),
     },
@@ -130,24 +136,8 @@ class Policy:
 
 
 def default_policy(master_seed: int = 0) -> Policy:
-    entries = [PolicyEntry(name, DEFAULT_PROBABILITIES[name]) for name in DEFAULT_ORDER]
+    entries = [PolicyEntry(name, p) for name, p in DEFAULT_PROBABILITIES.items()]
     return Policy(entries=entries, master_seed=master_seed)
-
-
-def _validate_entry(entry: PolicyEntry, line_no: int | None = None) -> None:
-    where = f" (line {line_no})" if line_no is not None else ""
-    if entry.name not in AUGMENTATION_NAMES:
-        raise PolicyError(f"unknown augmentation {entry.name!r}{where}")
-    if not 0.0 <= entry.probability <= 1.0:
-        raise PolicyError(
-            f"probability {entry.probability} out of range [0, 1]{where}"
-        )
-    allowed = _override_defaults(entry.name)
-    for key in entry.params:
-        if key not in allowed:
-            raise PolicyError(f"unknown parameter {key!r} for {entry.name}{where}")
-    if entry.params:  # the defaults pass every check
-        _check_params(entry.name, entry.params, where)
 
 
 @functools.cache
@@ -162,18 +152,6 @@ def _override_defaults(name: str) -> dict:
     return defaults
 
 
-def _merged(name: str, params: dict) -> dict:
-    """Each parameter of ``name`` with the overrides in ``params``; a
-    range is a ``(lo, hi)`` tuple."""
-    values = {}
-    for key, (default, _) in PARAMETERS[name].items():
-        if isinstance(default, tuple):
-            values[key] = (params.get(f"{key}_min", default[0]), params.get(f"{key}_max", default[1]))
-        else:
-            values[key] = params.get(key, default)
-    return values
-
-
 _COMPARE = {
     ">": operator.gt,
     ">=": operator.ge,
@@ -182,33 +160,46 @@ _COMPARE = {
 }
 
 
-def _check_params(name: str, params: dict, where: str) -> None:
-    """Overrides are finite, merged ranges are ordered, and both ends of a
-    range, or a single value, keep the bounds of their parameter."""
-    for key, value in params.items():
+def _entry_values(entry: PolicyEntry, where: str = "") -> dict:
+    """Check ``entry`` and return each parameter of its augmentation with
+    the overrides merged; a range is a ``(lo, hi)`` tuple. Overrides are
+    known and finite, merged ranges are ordered, and both ends of a range,
+    or a single value, keep the bounds of their parameter."""
+    if entry.name not in AUGMENTATION_NAMES:
+        raise PolicyError(f"unknown augmentation {entry.name!r}{where}")
+    if not 0.0 <= entry.probability <= 1.0:
+        raise PolicyError(f"probability {entry.probability} out of range [0, 1]{where}")
+    for key, value in entry.params.items():
+        if key not in _override_defaults(entry.name):
+            raise PolicyError(f"unknown parameter {key!r} for {entry.name}{where}")
         # ints are finite, and isfinite overflows on those beyond float range
         if not isinstance(value, int) and not math.isfinite(value):
             raise PolicyError(f"{key}={value} is not finite{where}")
-    for key, merged in _merged(name, params).items():
-        default, bounds = PARAMETERS[name][key]
+    values = {}
+    for key, (default, bounds) in PARAMETERS[entry.name].items():
         if isinstance(default, tuple):
-            lo, hi = merged
+            lo = entry.params.get(f"{key}_min", default[0])
+            hi = entry.params.get(f"{key}_max", default[1])
             if lo > hi:
                 raise PolicyError(f"{key}_min={lo} exceeds {key}_max={hi}{where}")
+            values[key] = (lo, hi)
             ends = (("_min", lo), ("_max", hi))
         else:
-            ends = (("", merged),)
+            value = entry.params.get(key, default)
+            values[key] = int(value) if isinstance(default, int) else value
+            ends = (("", value),)
         for suffix, value in ends:
             for symbol, limit in bounds.items():
                 if not _COMPARE[symbol](value, limit):
                     raise PolicyError(f"{key}{suffix}={value} must be {symbol} {limit}{where}")
+    return values
 
 
 @dataclass(frozen=True)
 class PlanEntry:
     name: str
     probability: float
-    values: MappingProxyType  # the merged parameters, see _merged
+    values: MappingProxyType  # the merged parameters, see _entry_values
 
     def __reduce__(self):
         # a mappingproxy does not pickle, and pool workers that are not
@@ -236,9 +227,9 @@ def compile_policy(policy: Policy | Plan) -> Plan:
     plan is returned as it is."""
     if isinstance(policy, Plan):
         return policy
-    validate_policy(policy)
     entries = tuple(
-        _plan_entry(e.name, e.probability, _merged(e.name, e.params)) for e in policy.entries
+        _plan_entry(e.name, e.probability, values)
+        for e, values in zip(policy.entries, validate_policy(policy))
     )
     return Plan(
         entries=entries,
@@ -248,44 +239,39 @@ def compile_policy(policy: Policy | Plan) -> Plan:
     )
 
 
-def validate_policy(policy: Policy) -> None:
+def validate_policy(policy: Policy) -> list[dict]:
+    """Check ``policy``; return each entry's merged parameters."""
     seen = set()
+    merged = []
     for entry in policy.entries:
         if entry.name in seen:
             raise PolicyError(f"duplicate augmentation {entry.name!r}")
         seen.add(entry.name)
-        _validate_entry(entry)
+        merged.append(_entry_values(entry))
     if not math.isfinite(policy.theta):
         raise PolicyError(f"theta={policy.theta} is not finite")
     if not 0 <= policy.master_seed < 2 ** 64:
         raise PolicyError(f"seed {policy.master_seed} out of u64 range")
+    return merged
 
 
 # ---------------------------------------------------------------------------
 # application
 # ---------------------------------------------------------------------------
 
+def _keywords(values):
+    """Each merged parameter as the ``augment`` keyword it reaches: a range
+    ``<key>`` is ``<key>_range``, a single value keeps its name."""
+    return {f"{key}_range" if isinstance(v, tuple) else key: v for key, v in values.items()}
+
+
 def _apply_affine(img, rng, values, theta, bank):
     h, w = img.shape[:2]
-    p = augment.sample_affine(
-        rng, w, h,
-        scale_range=values["scale"],
-        rotation_range=values["rotation"],
-        shear_range=values["shear"],
-        translate_frac=values["translate_frac"],
-    )
-    return augment.apply_affine(img, p)
+    return augment.apply_affine(img, augment.sample_affine(rng, w, h, **_keywords(values)))
 
 
 def _apply_color_jitter(img, rng, values, theta, bank):
-    p = augment.sample_color_jitter(
-        rng,
-        brightness_range=values["brightness"],
-        contrast_range=values["contrast"],
-        saturation_range=values["saturation"],
-        hue_range=values["hue"],
-    )
-    return augment.color_jitter(img, p)
+    return augment.color_jitter(img, augment.sample_color_jitter(rng, **_keywords(values)))
 
 
 def _apply_gaussian_blur(img, rng, values, theta, bank):
@@ -298,13 +284,7 @@ def _apply_mixing(img, rng, values, theta, bank):
 
 
 def _apply_random_erasing(img, rng, values, theta, bank):
-    return augment.random_erasing(
-        img, rng,
-        min_fraction=values["min_fraction"],
-        area_range=values["area"],
-        aspect_range=values["aspect"],
-        max_rects=int(values["max_rects"]),
-    )
+    return augment.random_erasing(img, rng, **_keywords(values))
 
 
 def _apply_background_invariance(img, rng, values, theta, bank, mask=None):
@@ -432,9 +412,8 @@ def load_policy(text: str | bytes) -> Policy:
                 kind = "integer" if integer else "number"
                 raise PolicyError(f"invalid {kind} for {key}: {value!r} (line {line_no})") from None
         entry = PolicyEntry(name=name, probability=probability, params=params)
-        _validate_entry(entry, line_no)
+        _entry_values(entry, f" (line {line_no})")
         policy.entries.append(entry)
-    validate_policy(policy)
     return policy
 
 

@@ -2,6 +2,7 @@ import functools
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,18 @@ class TestAugmentCommand:
         assert "bad.ppm" in capsys.readouterr().err
         # good files were still processed
         assert (workspace / "out" / "img_000.v1.ppm").exists()
+
+    def test_corrupt_soil_bank_file_is_usage_error_naming_it(self, workspace, capsys):
+        bad = workspace / "bank" / "bad.ppm"
+        bad.write_bytes(b"not an image")
+        code = cli.main([
+            "augment", "--input", str(workspace / "in"),
+            "--output", str(workspace / "out"),
+            "--policy", str(workspace / "policy.txt"),
+        ])
+        assert code == 2
+        assert f"error: {bad}: bad magic" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_any_failure_reported_per_file(self, workspace, capsys, monkeypatch, workers):
@@ -641,6 +654,52 @@ class TestCountFlags:
         # nothing but the error manifest is written
         assert [p.name for p in out_dir.iterdir()] == ["manifest.txt"]
         assert "status=error" in (out_dir / "manifest.txt").read_text()
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--theta", "nan", "must be finite"),
+        ("--theta", "-inf", "must be finite"),
+        ("--max-fraction", "nan", "must be finite"),
+        ("--max-fraction", "0", r"must be in \(0, 1\]"),
+        ("--max-fraction", "1.5", r"must be in \(0, 1\]"),
+        ("--max-fraction", "x", "invalid number"),
+    ])
+    def test_soilbank_flags_rejected_at_parse(self, workspace, capsys, flag, value, message):
+        self._assert_rejected(capsys, ["soilbank", "--input", str(workspace / "in"),
+                                       "--output", str(workspace / "bank_out"), f"{flag}={value}"],
+                              message)
+        assert not (workspace / "bank_out").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "must be finite"), ("0", r"must be in \(0, 1\]"),
+        ("-0.5", r"must be in \(0, 1\]"), ("1.01", r"must be in \(0, 1\]"),
+    ])
+    def test_eval_iou_threshold_rejected_at_parse(self, tmp_path, capsys, value, message):
+        masks = [np.eye(4, dtype=bool)]
+        mx.save_instance_set(tmp_path / "pred", masks)
+        mx.save_instance_set(tmp_path / "gt", masks)
+        self._assert_rejected(capsys, ["eval", "--task", "instance", "--pred", str(tmp_path / "pred"),
+                                       "--gt", str(tmp_path / "gt"), f"--iou-threshold={value}"],
+                              message)
+
+    def test_closed_ends_accepted(self):
+        parser = cli._build_parser()
+        args = parser.parse_args(["soilbank", "--input", "i", "--output", "o",
+                                  "--theta=-1e300", "--max-fraction", "1"])
+        assert (args.theta, args.max_fraction) == (-1e300, 1.0)
+        args = parser.parse_args(["eval", "--task", "instance", "--pred", "p", "--gt", "g",
+                                  "--iou-threshold", "1"])
+        assert args.iou_threshold == 1.0
+
+    @staticmethod
+    def _assert_rejected(capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(message, captured.err)
 
 
 class TestOrderSweepCommand:

@@ -1,4 +1,8 @@
+import ast
 import dataclasses
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +350,62 @@ class TestWiring:
         stream = RandomStream(5)
         stream.next_float64()  # the gate
         assert np.array_equal(got, direct(name, plant_image, stream, soil_bank, 0.25))
+
+
+class TestParameterTable:
+    """What ``PARAMETERS`` promises: bounds that reject at load each value
+    that would fail on every view, a README table that matches it, and the
+    cast of an integer key."""
+
+    @pytest.mark.parametrize("entry, message", [
+        ("affine 1.0 scale_min=0.005", "scale_min=0.005 must be >= 0.01"),
+        ("affine 1.0 scale_max=1e300", "scale_max=1e[+]300 must be <= 100"),
+        ("affine 1.0 shear_min=1 shear_max=1", "shear_min=1.0 must be <= 0.99999999"),
+        ("affine 1.0 shear_min=-1", "shear_min=-1.0 must be >= -0.99999999"),
+        ("affine 1.0 rotation_min=-1e308 rotation_max=1e308", "rotation_min=-1e[+]308 must be >="),
+        ("affine 1.0 rotation_max=1e308", "rotation_max=1e[+]308 must be <= 1000000.0"),
+        ("affine 1.0 translate_frac=1e307", "translate_frac=1e[+]307 must be <= 1000000.0"),
+        ("affine 1.0 translate_frac=-1e307", "translate_frac=-1e[+]307 must be >= -1000000.0"),
+        ("color_jitter 1.0 brightness_min=1e308 brightness_max=1e308", "brightness_min=1e[+]308"),
+        ("color_jitter 1.0 brightness_min=-1e308", "brightness_min=-1e[+]308 must be >="),
+        ("color_jitter 1.0 contrast_max=1e308", "contrast_max=1e[+]308 must be <="),
+        ("color_jitter 1.0 contrast_min=-1e308", "contrast_min=-1e[+]308 must be >="),
+        ("color_jitter 1.0 saturation_max=1e308", "saturation_max=1e[+]308 must be <="),
+        ("color_jitter 1.0 saturation_min=-1e308", "saturation_min=-1e[+]308 must be >="),
+        ("color_jitter 1.0 hue_min=-1e308 hue_max=1e308", "hue_min=-1e[+]308 must be >="),
+        ("color_jitter 1.0 hue_max=1e308", "hue_max=1e[+]308 must be <="),
+        ("gaussian_blur 1.0 sigma_min=1e-170", "sigma_min=1e-170 must be >= 1e-150"),
+        ("random_erasing 1.0 aspect_max=1e308", "aspect_max=1e[+]308 must be <="),
+        ("random_erasing 1.0 aspect_min=1e-320", "aspect_min=1e-320 must be >= 1e-06"),
+    ])
+    def test_policies_that_would_fail_to_apply_fail_at_load(self, entry, message):
+        with pytest.raises(PolicyError, match=f"{message}.*\\(line 1\\)"):
+            load_policy(f"{entry}\n")
+
+    def test_readme_table_matches_parameters(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Policy files"):readme.index("## CLI")]
+        table, name = {}, None
+        rows = [line for line in section.splitlines() if line.startswith("|")]
+        for row in rows[2:]:
+            entry, keys, default, bounds, _reason = (c.strip() for c in row[1:-1].split("|"))
+            name = entry.strip("`") or name
+            table.setdefault(name, {})
+            if keys.startswith("none"):
+                continue
+            key = re.match(r"`(\w+?)(_min)?`", keys).group(1)
+            default = ast.literal_eval(f"({default},)".replace("pi", repr(math.pi)))
+            bounds = dict(re.findall(r"(>=|<=|>|in) (\([^)]*\)|[^,]+)", bounds))
+            table[name][key] = (default if len(default) == 2 else default[0],
+                                {s: ast.literal_eval(v) for s, v in bounds.items()})
+        assert table == P.PARAMETERS
+
+    def test_integer_key_is_cast_when_the_policy_compiles(self, random_image):
+        as_float = Policy([PolicyEntry("random_erasing", 1.0, {"max_rects": 2.0})])
+        as_int = Policy([PolicyEntry("random_erasing", 1.0, {"max_rects": 2})])
+        got = apply_policy(random_image, as_float, RandomStream(11))
+        assert np.array_equal(got, apply_policy(random_image, as_int, RandomStream(11)))
+        assert P.compile_policy(as_float).entries[0].values["max_rects"] == 2
 
 
 class TestRebinding:

@@ -1,14 +1,19 @@
 """Property tests of the policy and checkpoint loaders: generated valid
-policies round-trip through their text form, arbitrary overrides either
-load or raise PolicyError, and truncated or header-mutated checkpoints
-raise CheckpointError, never any other exception."""
+policies round-trip through their text form and apply to any image,
+arbitrary overrides either load or raise PolicyError, and truncated or
+header-mutated checkpoints raise CheckpointError, never any other
+exception."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldaug import policy as P
 from fieldaug import tinytrain as tt
+from fieldaug.augment import SoilBank
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -27,7 +32,23 @@ def within(default, bounds):
         low, high = bounds["in"]
         return st.floats(low + 1e-6, high - 1e-3)
     low = bounds[">"] + 1e-6 if ">" in bounds else -1e6
-    return st.floats(low, bounds.get("<=", 1e6))
+    return st.floats(max(low, bounds.get(">=", low)), bounds.get("<=", 1e6))
+
+
+def anywhere(default, bounds):
+    """Any finite value that keeps a parameter's bounds. The ends, or the
+    nearest floats inside an open bound, are drawn often."""
+    if isinstance(default, int):
+        return st.integers(min_value=bounds[">="])
+    low, high = bounds.get("in", (bounds.get(">"), bounds.get("<=")))
+    if low is not None:
+        low = math.nextafter(low, math.inf)
+    low = bounds.get(">=", low)
+    if "in" in bounds:
+        high = math.nextafter(high, -math.inf)
+    ends = [end for end in (low, high) if end is not None]
+    return st.one_of(st.sampled_from(ends), st.floats(low, high, allow_nan=False,
+                                                      allow_infinity=False))
 
 
 @st.composite
@@ -46,10 +67,10 @@ def ranges(draw, key, default, values):
 
 
 @st.composite
-def valid_params(draw, name):
+def valid_params(draw, name, value_strategy=within):
     params = {}
     for key, (default, bounds) in P.PARAMETERS[name].items():
-        values = within(default, bounds)
+        values = value_strategy(default, bounds)
         if isinstance(default, tuple):
             params.update(draw(ranges(key, default, values)))
         elif draw(st.booleans()):
@@ -77,6 +98,33 @@ def valid_policies(draw):
 @given(valid_policies())
 def test_policy_text_round_trip(pol):
     assert P.load_policy(P.save_policy(pol)) == pol
+
+
+@st.composite
+def firing_policies(draw):
+    """Entries that all fire, with overrides anywhere within the bounds."""
+    names = draw(st.permutations(P.AUGMENTATION_NAMES))
+    names = names[:draw(st.integers(1, len(names)))]
+    entries = [P.PolicyEntry(name, 1.0, draw(valid_params(name, anywhere))) for name in names]
+    return P.Policy(entries=entries, master_seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+# the affine corner: both shears at one end and the smallest scale give the
+# smallest determinant the bounds admit, 2e-12
+CORNER = P.Policy([P.PolicyEntry("affine", 1.0, {
+    "scale_min": 0.01, "scale_max": 0.01, "shear_min": -0.99999999, "shear_max": -0.99999999,
+})])
+
+
+@FUZZ
+@given(firing_policies(), st.integers(1, 17), st.integers(1, 17), st.integers(0, 2 ** 32 - 1))
+@example(CORNER, 17, 17, 0)
+@example(CORNER, 1, 1, 0)
+def test_policies_within_the_bounds_apply(pol, height, width, seed):
+    img = np.random.default_rng(seed).integers(0, 256, (height, width, 3), np.uint8)
+    bank = SoilBank([np.full((5, 7, 3), (120, 90, 60), np.uint8)])
+    out = P.apply_policy(img, pol, P.RandomStream(pol.master_seed), soil_bank=bank)
+    assert out.dtype == np.uint8 and out.shape == img.shape
 
 
 override_values = st.one_of(
