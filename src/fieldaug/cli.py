@@ -83,15 +83,22 @@ class Manifest:
 # shared helpers
 # ---------------------------------------------------------------------------
 
+def _load(path: Path, decode, what: str):
+    """``decode`` of the bytes in the file at ``path``. A missing file is a
+    usage error naming ``what``, and a ``ValueError`` from ``decode`` one
+    naming the path."""
+    if not path.is_file():
+        raise UsageError(f"{what} not found: {path}")
+    try:
+        return decode(path.read_bytes())
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
 def _load_run_policy(policy_path: Path, seed_override: int | None) -> Policy:
     """Load and validate a policy file, with ``--seed`` replacing its
     master seed when given."""
-    if not policy_path.is_file():
-        raise UsageError(f"policy file not found: {policy_path}")
-    try:
-        pol = load_policy(policy_path.read_text())
-    except PolicyError as exc:
-        raise UsageError(f"{policy_path}: {exc}") from exc
+    pol = _load(policy_path, load_policy, "policy file")
     if seed_override is not None:
         pol.master_seed = seed_override
         try:
@@ -159,11 +166,6 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _workers_used(requested: int, inputs: int) -> int:
-    """Worker processes worth starting: no more than the inputs or CPUs."""
-    return min(requested, inputs, os.cpu_count() or 1)
-
-
 def _started(_) -> None:
     """Warm-up task: returns once a worker process is running."""
 
@@ -207,21 +209,37 @@ def _pool_map(fn, tasks: list, pool) -> list:
 
 
 def _sorted_ppms(directory: Path) -> list[Path]:
+    """The .ppm files in ``directory``, by name; a missing directory is a
+    usage error naming it."""
+    if not directory.is_dir():
+        raise UsageError(f"directory not found: {directory}")
     return sorted(directory.glob("*.ppm"), key=lambda p: p.name)
 
 
 def _read_ppms(directory: Path) -> list[np.ndarray]:
-    """Every .ppm image in ``directory``, by name; a missing directory or
-    an unreadable image is a usage error naming it."""
-    if not directory.is_dir():
-        raise UsageError(f"directory not found: {directory}")
-    images = []
-    for path in _sorted_ppms(directory):
-        try:
-            images.append(load_ppm(path.read_bytes()))
-        except CodecError as exc:
-            raise UsageError(f"{path}: {exc}") from exc
-    return images
+    """Every .ppm image in ``directory``, by name; an unreadable image is
+    a usage error naming it."""
+    return [_load(path, load_ppm, "image") for path in _sorted_ppms(directory)]
+
+
+def _image_run(args, manifest: Manifest):
+    """The set-up ``augment`` and ``bench`` share: the ``--input`` files,
+    the policy and its plan, the soil bank and the worker count."""
+    input_dir = Path(args.input)
+    files = _sorted_ppms(input_dir)
+    policy_path = Path(args.policy)
+    pol = _load_run_policy(policy_path, args.seed)
+    plan = compile_policy(pol)
+    bank = _soil_bank(policy_path, pol, plan.needs_bank)
+    # worker processes worth starting: no more than the inputs or CPUs
+    workers = min(args.workers, len(files), os.cpu_count() or 1)
+    manifest.add("input", input_dir)
+    manifest.add("images", len(files))
+    manifest.add("workers", args.workers)
+    manifest.add("workers_used", workers)
+    manifest.add("policy", policy_path)
+    manifest.add("master_seed", plan.master_seed)
+    return files, pol, plan, bank, workers
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +279,10 @@ def _augment_task(task) -> tuple[str, str]:
 
 
 def _cmd_augment(args, manifest: Manifest) -> int:
-    input_dir = Path(args.input)
-    if not input_dir.is_dir():
-        raise UsageError(f"input directory not found: {input_dir}")
-    policy_path = Path(args.policy)
-    pol = _load_run_policy(policy_path, args.seed)
-    plan = compile_policy(pol)
-    bank = _soil_bank(policy_path, pol, plan.needs_bank)
+    files, _, plan, bank, workers = _image_run(args, manifest)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    files = _sorted_ppms(input_dir)
-    manifest.add("input", input_dir)
     manifest.add("output", out_dir)
-    manifest.add("policy", policy_path)
-    manifest.add("master_seed", plan.master_seed)
-    workers = _workers_used(args.workers, len(files))
-    manifest.add("workers", args.workers)
-    manifest.add("workers_used", workers)
-    manifest.add("images", len(files))
     if not files:
         manifest.add("views_written", 0)
         return EXIT_OK
@@ -306,16 +309,16 @@ def _cmd_augment(args, manifest: Manifest) -> int:
 
 def _cmd_soilbank(args, manifest: Manifest) -> int:
     input_dir = Path(args.input)
-    if not input_dir.is_dir():
-        raise UsageError(f"input directory not found: {input_dir}")
+    files = _sorted_ppms(input_dir)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     admitted = []
     failures = 0
-    for path in _sorted_ppms(input_dir):
+    for path in files:
+        data = path.read_bytes()
         try:
-            img = load_ppm(path.read_bytes())
+            img = load_ppm(data)
         except CodecError as exc:
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             failures += 1
@@ -324,7 +327,7 @@ def _cmd_soilbank(args, manifest: Manifest) -> int:
             augment.refined_vegetation_mask(img, args.theta)
         )
         if fraction < args.max_fraction:
-            (out_dir / path.name).write_bytes(path.read_bytes())
+            (out_dir / path.name).write_bytes(data)
             admitted.append((path.name, fraction))
 
     index_lines = [f"{name} {fraction!r}" for name, fraction in admitted]
@@ -365,13 +368,7 @@ def _write_trace(path: Path, trace) -> None:
 def _cmd_pretrain(args, manifest: Manifest) -> int:
     cfg = tinytrain.TrainConfig()
     if args.config:
-        config_path = Path(args.config)
-        if not config_path.is_file():
-            raise UsageError(f"config file not found: {config_path}")
-        try:
-            cfg = tinytrain.load_train_config(config_path.read_text())
-        except ValueError as exc:
-            raise UsageError(f"{config_path}: {exc}") from exc
+        cfg = _load(Path(args.config), tinytrain.load_train_config, "config file")
     if args.seed is not None:
         cfg.seed = args.seed
         try:
@@ -472,22 +469,12 @@ def _bench_task(task) -> None:
 
 
 def _cmd_bench(args, manifest: Manifest) -> int:
-    input_dir = Path(args.input)
-    if not input_dir.is_dir():
-        raise UsageError(f"input directory not found: {input_dir}")
-    policy_path = Path(args.policy)
-    pol = _load_run_policy(policy_path, args.seed)
-    plan = compile_policy(pol)
-    bank = _soil_bank(policy_path, pol, plan.needs_bank)
-    files = _sorted_ppms(input_dir)
+    files, pol, plan, bank, workers = _image_run(args, manifest)
     if not files:
-        raise UsageError(f"no .ppm images in {input_dir}")
-
-    workers = _workers_used(args.workers, len(files))
-    manifest.add("input", input_dir)
-    manifest.add("images", len(files))
-    manifest.add("workers", args.workers)
-    manifest.add("workers_used", workers)
+        raise UsageError(f"no .ppm images in {args.input}")
+    # a bad input fails here, naming it; the timed tasks decode again
+    for path in files:
+        _load(path, load_ppm, "image")
     manifest.add("repeat", args.repeat)
 
     plans = {e.name: _cell_policy(pol, (e.name,)) for e in plan.entries}
@@ -533,17 +520,11 @@ def _cell_policy(base: Policy, names: tuple[str, ...]) -> Plan:
 
 def _run_cell(dataset, cell: Plan, bank, cfg: tinytrain.TrainConfig):
     ckpt, trace = tinytrain.pretrain(dataset, cell, cfg, soil_bank=bank)
-    model = tinytrain.model_from_checkpoint(ckpt)
     probe_n = min(cfg.batch_size, len(dataset))
-    views1, views2 = [], []
-    for i in range(probe_n):
-        v1, v2 = make_views(dataset[i], cell, 10 ** 9 + i, soil_bank=bank)
-        views1.append(v1)
-        views2.append(v2)
     c = tinytrain.probe_cross_corr(
-        model,
-        tinytrain.prepare_batch(views1, cfg.input_size),
-        tinytrain.prepare_batch(views2, cfg.input_size),
+        tinytrain.model_from_checkpoint(ckpt),
+        *tinytrain.view_batches(dataset[:probe_n], cell, range(10 ** 9, 10 ** 9 + probe_n),
+                                cfg.input_size, bank),
     )
     return (
         trace[-1][1] if trace else float("nan"),
@@ -666,9 +647,12 @@ def _cmd_eval(args, manifest: Manifest) -> int:
     if args.task == "semantic":
         total = np.zeros((metrics.NUM_CLASSES, metrics.NUM_CLASSES), dtype=np.int64)
         for name in _paired_names(pred_dir, gt_dir, "*.pgm"):
-            pred = metrics.load_label_map((pred_dir / name).read_bytes())
-            gt = metrics.load_label_map((gt_dir / name).read_bytes())
-            total += metrics.confusion_matrix(pred, gt)
+            pred = _load(pred_dir / name, metrics.load_label_map, "label map")
+            gt = _load(gt_dir / name, metrics.load_label_map, "label map")
+            try:
+                total += metrics.confusion_matrix(pred, gt)
+            except ValueError as exc:  # the shapes differ
+                raise UsageError(f"{pred_dir / name}: {exc}") from exc
         ious = metrics.per_class_iou(total)
         values = [("miou", metrics.miou(total))]
         values += [
@@ -694,8 +678,11 @@ def _cmd_eval(args, manifest: Manifest) -> int:
         pairs = [(pred_dir, gt_dir)]
     aps, ars, dics = [], [], []
     for pred_set_dir, gt_set_dir in pairs:
-        pred_masks, pred_scores = metrics.load_instance_set(pred_set_dir)
-        gt_masks, _ = metrics.load_instance_set(gt_set_dir)
+        try:
+            pred_masks, pred_scores = metrics.load_instance_set(pred_set_dir)
+            gt_masks, _ = metrics.load_instance_set(gt_set_dir)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         ap, ar = metrics.instance_ap_ar(
             pred_masks, gt_masks, pred_scores, iou_threshold=args.iou_threshold
         )

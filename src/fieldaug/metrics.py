@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .imagecore import load_pgm, save_pgm
+from .vegmask import mask_from_pgm, mask_to_pgm
 
 __all__ = [
     "NUM_CLASSES",
@@ -85,30 +86,27 @@ def miou(cm: np.ndarray) -> float:
     return float(ious[present].mean())
 
 
-def mean_precision(cm: np.ndarray) -> float:
-    """Mean over present classes of TP / (TP + FP); empty prediction
-    columns contribute 0."""
+def _mean_rate(cm: np.ndarray, axis: int, what: str) -> float:
+    """Mean over present classes of TP over the sum along ``axis``."""
     cm = np.asarray(cm, dtype=np.float64)
     present = _present(cm)
     if not present.any():
-        raise ValueError("all classes absent; precision undefined")
-    tp = np.diag(cm)
-    col = cm.sum(axis=0)
-    per = np.where(col > 0, tp / np.where(col > 0, col, 1.0), 0.0)
+        raise ValueError(f"all classes absent; {what} undefined")
+    total = cm.sum(axis=axis)
+    per = np.where(total > 0, np.diag(cm) / np.where(total > 0, total, 1.0), 0.0)
     return float(per[present].mean())
+
+
+def mean_precision(cm: np.ndarray) -> float:
+    """Mean over present classes of TP / (TP + FP); empty prediction
+    columns contribute 0."""
+    return _mean_rate(cm, 0, "precision")
 
 
 def mean_recall(cm: np.ndarray) -> float:
     """Mean over present classes of TP / (TP + FN); empty ground-truth
     rows contribute 0."""
-    cm = np.asarray(cm, dtype=np.float64)
-    present = _present(cm)
-    if not present.any():
-        raise ValueError("all classes absent; recall undefined")
-    tp = np.diag(cm)
-    row = cm.sum(axis=1)
-    per = np.where(row > 0, tp / np.where(row > 0, row, 1.0), 0.0)
-    return float(per[present].mean())
+    return _mean_rate(cm, 1, "recall")
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +235,16 @@ def load_label_map(data: bytes) -> np.ndarray:
 
 def load_instance_set(directory) -> tuple[list[np.ndarray], list[float] | None]:
     """Read ``*.pgm`` masks in sorted filename order; values > 127 are
-    foreground. If ``scores.txt`` exists it must score every mask."""
+    foreground, and an unreadable mask raises ``ValueError`` naming it.
+    If ``scores.txt`` exists it must score every mask."""
     directory = Path(directory)
     mask_paths = sorted(directory.glob("*.pgm"))
-    masks = [load_pgm(p.read_bytes()) > 127 for p in mask_paths]
+    masks = []
+    for p in mask_paths:
+        try:
+            masks.append(mask_from_pgm(p.read_bytes()))
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from None
     scores_path = directory / "scores.txt"
     if not scores_path.exists():
         return masks, None
@@ -269,8 +273,7 @@ def save_instance_set(directory, masks, scores=None) -> None:
     names = []
     for i, mask in enumerate(masks):
         name = f"instance_{i:04d}.pgm"
-        gray = np.where(np.asarray(mask, dtype=bool), 255, 0).astype(np.uint8)
-        (directory / name).write_bytes(save_pgm(gray))
+        (directory / name).write_bytes(mask_to_pgm(mask))
         names.append(name)
     if scores is not None:
         _check_instances(masks, scores)

@@ -186,6 +186,8 @@ def _entry_values(entry: PolicyEntry, where: str = "") -> dict:
             ends = (("_min", lo), ("_max", hi))
         else:
             value = entry.params.get(key, default)
+            if isinstance(default, int) and value != int(value):
+                raise PolicyError(f"{key}={value} is not an integer{where}")
             values[key] = int(value) if isinstance(default, int) else value
             ends = (("", value),)
         for suffix, value in ends:
@@ -420,14 +422,14 @@ def load_policy(text: str | bytes) -> Policy:
 def save_policy(policy: Policy) -> str:
     """Canonical text form; load(save(p)) == p whenever probabilities are
     already 3-decimal values."""
-    validate_policy(policy)
     lines = [f"seed={policy.master_seed}", f"theta={policy.theta!r}"]
     if policy.soil_bank_path:
         lines.append(f"soil_bank={policy.soil_bank_path}")
-    for entry in policy.entries:
+    for entry, values in zip(policy.entries, validate_policy(policy)):
         parts = [entry.name, f"{entry.probability:.3f}"]
         for key in sorted(entry.params):
-            value = entry.params[key]
+            # an integer key as merged, so that 2.0 is written as 2
+            value = values.get(key, entry.params[key])
             parts.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

@@ -48,6 +48,7 @@ __all__ = [
     "TrainingDiverged",
     "init_model",
     "prepare_batch",
+    "view_batches",
     "forward",
     "backward",
     "train_step",
@@ -101,14 +102,16 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 for batch statistics")
         if self.max_steps is not None and self.max_steps <= 0:
             raise ValueError("max_steps must be positive when set")
-        # the widths save_checkpoint packs these fields into
-        for name, bits in (("batch_size", 32), ("epochs", 32), ("embed_dim", 32),
-                           ("input_size", 32), ("max_steps", 64)):
-            value = getattr(self, name)
-            if value is not None and value >= 2 ** bits:
-                raise ValueError(f"{name} must be < 2**{bits}, got {value}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        # save_checkpoint packs these fields as unsigned integers this wide
+        for name, bits in (("batch_size", 32), ("epochs", 32), ("embed_dim", 32),
+                           ("input_size", 32), ("max_steps", 64), ("seed", 64)):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value}")
+            if value is not None and value >= 2 ** bits:
+                raise ValueError(f"{name} must be < 2**{bits}, got {value}")
 
 
 # One row per layer, input to output: name, output width (None: embed_dim),
@@ -229,6 +232,16 @@ def prepare_batch(images, input_size: int) -> np.ndarray:
     return np.stack(rows)
 
 
+def view_batches(images, plan: Plan | Policy, indices, input_size: int,
+                 soil_bank: SoilBank | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Two prepared view batches: row k of each holds a view of
+    ``images[k]`` made by :func:`make_views` as image ``indices[k]``."""
+    pairs = [make_views(img, plan, index, soil_bank=soil_bank)
+             for img, index in zip(images, indices, strict=True)]
+    return (prepare_batch([v1 for v1, _ in pairs], input_size),
+            prepare_batch([v2 for _, v2 in pairs], input_size))
+
+
 def _as_input(model: TinyModel, batch) -> np.ndarray:
     """Float (n, in_dim) batches only; byte images go through prepare_batch."""
     batch = np.asarray(batch)
@@ -270,12 +283,11 @@ def _forward_cached(model: TinyModel, x: np.ndarray, training: bool, update_stat
     return x, cache
 
 
-def forward(model: TinyModel, batch, training: bool = True,
-            update_stats: bool = False) -> np.ndarray:
-    """Embed a batch. Training mode uses batch statistics in the norm
-    layers; eval mode uses the stored running statistics."""
+def forward(model: TinyModel, batch, training: bool = True) -> np.ndarray:
+    """Embed a batch, leaving the running statistics as they are. Training
+    mode normalizes with batch statistics, eval mode with the running ones."""
     x = _as_input(model, batch)
-    z, _ = _forward_cached(model, x, training=training, update_stats=update_stats)
+    z, _ = _forward_cached(model, x, training=training, update_stats=False)
     return z
 
 
@@ -351,8 +363,8 @@ def train_step(model: TinyModel, view1, view2, cfg: TrainConfig):
 def probe_cross_corr(model: TinyModel, view1, view2) -> np.ndarray:
     """Cross-correlation of two view batches under batch statistics,
     without touching the running buffers. Used for progress probes."""
-    z1 = forward(model, view1, training=True, update_stats=False)
-    z2 = forward(model, view2, training=True, update_stats=False)
+    z1 = forward(model, view1, training=True)
+    z2 = forward(model, view2, training=True)
     return twins.cross_correlation(twins.batch_normalize(z1), twins.batch_normalize(z2))
 
 
@@ -384,13 +396,8 @@ def pretrain(dataset, policy: Policy | Plan, cfg: TrainConfig,
         RandomStream(derive_seed(cfg.seed, 1 + epoch)).shuffle(order)
         for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
             batch_idx = order[start:start + cfg.batch_size]
-            views1, views2 = [], []
-            for i in batch_idx:
-                v1, v2 = make_views(dataset[i], plan, epoch * n + i, soil_bank=soil_bank)
-                views1.append(v1)
-                views2.append(v2)
-            x1 = prepare_batch(views1, cfg.input_size)
-            x2 = prepare_batch(views2, cfg.input_size)
+            x1, x2 = view_batches([dataset[i] for i in batch_idx], plan,
+                                  [epoch * n + i for i in batch_idx], cfg.input_size, soil_bank)
             try:
                 loss, dmean, omean = train_step(model, x1, x2, cfg)
             except TrainingDiverged as exc:
@@ -557,9 +564,7 @@ def model_grad_check(
     _, grad = backward(model, x1, x2, lam)
 
     def loss_at():
-        z1, _ = _forward_cached(model, x1, training=True, update_stats=False)
-        z2, _ = _forward_cached(model, x2, training=True, update_stats=False)
-        return twins._bt_core(z1, z2, lam)[0]
+        return twins._bt_core(forward(model, x1), forward(model, x2), lam)[0]
 
     indices: list[int] = []
     offset = 0

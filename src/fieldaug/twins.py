@@ -92,27 +92,22 @@ def bt_loss(c: np.ndarray, lam: float = DEFAULT_LAMBDA) -> float:
     if lam <= 0:
         raise ValueError("lambda must be positive")
     diag = np.diag(c)
-    invariance = float(((1.0 - diag) ** 2).sum())
-    off = c - np.diag(diag)
-    redundancy = float((off ** 2).sum())
-    return invariance + lam * redundancy
+    return float(((1.0 - diag) ** 2).sum() + lam * ((c - np.diag(diag)) ** 2).sum())
 
 
 def _bt_core(z1: np.ndarray, z2: np.ndarray, lam: float):
-    """Unchecked loss and gradient of normalize -> cross-correlation ->
-    loss for float64 batches of equal shape. Returns (loss, dZ1, dZ2, C)."""
+    """Loss (:func:`bt_loss` of C) and gradient of normalize -> cross-correlation
+    -> loss for unchecked float64 batches of equal shape. Returns (loss, dZ1, dZ2, C)."""
     n = z1.shape[0]
     y1, _, sigma1, denom1 = _normalize_cache(z1)
     y2, _, sigma2, denom2 = _normalize_cache(z2)
     c = y1.T @ y2 / n
-    diag = np.diag(c)
-    loss = float(((1.0 - diag) ** 2).sum() + lam * ((c - np.diag(diag)) ** 2).sum())
 
     g_c = 2.0 * lam * c
-    np.fill_diagonal(g_c, -2.0 * (1.0 - diag))
+    np.fill_diagonal(g_c, -2.0 * (1.0 - np.diag(c)))
     gz1 = _normalize_backward(y2 @ g_c.T / n, y1, sigma1, denom1)
     gz2 = _normalize_backward(y1 @ g_c / n, y2, sigma2, denom2)
-    return loss, gz1, gz2, c
+    return bt_loss(c, lam), gz1, gz2, c
 
 
 def bt_loss_grad(

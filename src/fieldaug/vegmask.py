@@ -116,9 +116,10 @@ def vegetation_fraction(mask: np.ndarray) -> float:
 
 
 def mask_to_pgm(mask: np.ndarray) -> bytes:
-    """Serialize as binary PGM with values 0/255 for CLI inspection."""
+    """Serialize as binary PGM with values 0/255."""
     return save_pgm(np.where(np.asarray(mask, dtype=bool), 255, 0).astype(np.uint8))
 
 
 def mask_from_pgm(data: bytes) -> np.ndarray:
+    """Decode a binary PGM mask; gray values above 127 are foreground."""
     return load_pgm(data) > 127

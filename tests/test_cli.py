@@ -268,6 +268,35 @@ class TestSoilbankCommand:
         index = (tmp_path / "bank" / "index.txt").read_text()
         assert index.count("\n") == 3 and "plants.ppm" not in index
 
+    def test_each_candidate_read_once(self, tmp_path, monkeypatch):
+        write_bank(tmp_path / "in", count=3)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        assert cli.main(["soilbank", "--input", str(tmp_path / "in"),
+                         "--output", str(tmp_path / "bank")]) == 0
+        assert sorted(reads) == ["soil_0.ppm", "soil_1.ppm", "soil_2.ppm"]
+        assert sorted(p.name for p in (tmp_path / "bank").glob("*.ppm")) == sorted(reads)
+
+
+class TestInputDirectory:
+    @pytest.mark.parametrize("command", ["augment", "soilbank", "bench"])
+    def test_missing_directory_named(self, workspace, capsys, command):
+        missing = workspace / "missing"
+        argv = [command, "--input", str(missing), "--manifest", str(workspace / "m.txt")]
+        if command != "soilbank":
+            argv += ["--policy", str(workspace / "policy.txt")]
+        if command != "bench":
+            argv += ["--output", str(workspace / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: directory not found: {missing}\n"
+        assert not (workspace / "out").exists()
+
 
 class TestGradcheckCommand:
     def test_passes_and_reports(self, tmp_path, capsys):
@@ -556,6 +585,19 @@ class TestBenchCommand:
         assert "images_per_second.end_to_end=" in manifest
         assert "images_per_second.gaussian_blur=" in manifest
 
+    def test_corrupt_input_is_usage_error_before_any_timing(self, workspace, capsys):
+        bad = workspace / "in" / "bad.ppm"
+        bad.write_bytes(b"P6\n4 4\n255\nxx")
+        code = cli.main([
+            "bench", "--input", str(workspace / "in"),
+            "--policy", str(workspace / "policy.txt"), "--repeat", "1",
+            "--manifest", str(workspace / "bench.manifest.txt"),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ")
+
 
 class TestCountFlags:
     @pytest.mark.parametrize("argv", [
@@ -804,6 +846,41 @@ class TestEvalCommand:
             "--manifest", str(tmp_path / "eval.manifest.txt"),
         ])
         assert code == 2
+
+
+    @staticmethod
+    def _semantic_pair(tmp_path, pred, gt):
+        for name, data in (("pred", pred), ("gt", gt)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "a.pgm").write_bytes(data)
+        return ["eval", "--task", "semantic", "--pred", str(tmp_path / "pred"),
+                "--gt", str(tmp_path / "gt"), "--manifest", str(tmp_path / "eval.manifest.txt")]
+
+    def test_corrupt_label_map_is_usage_error_naming_it(self, tmp_path, capsys):
+        good = mx.save_label_map(np.zeros((4, 4), np.uint8))
+        argv = self._semantic_pair(tmp_path, good, b"P5\n4 4\n255\nxx")
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'gt' / 'a.pgm'}: ")
+
+    def test_shape_mismatch_is_usage_error_naming_it(self, tmp_path, capsys):
+        argv = self._semantic_pair(tmp_path, mx.save_label_map(np.zeros((4, 4), np.uint8)),
+                                   mx.save_label_map(np.zeros((5, 4), np.uint8)))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'pred' / 'a.pgm'}: shape mismatch: pred (4, 4) vs gt (5, 4)\n")
+
+    def test_corrupt_instance_mask_is_usage_error_naming_it(self, tmp_path, capsys):
+        masks = [np.eye(4, dtype=bool)]
+        mx.save_instance_set(tmp_path / "pred", masks)
+        mx.save_instance_set(tmp_path / "gt", masks)
+        bad = tmp_path / "gt" / "instance_0000.pgm"
+        bad.write_bytes(b"not a mask")
+        code = cli.main([
+            "eval", "--task", "instance", "--pred", str(tmp_path / "pred"),
+            "--gt", str(tmp_path / "gt"), "--manifest", str(tmp_path / "eval.manifest.txt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: bad magic")
 
 
 class TestManifestOnFailure:

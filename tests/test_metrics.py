@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from fieldaug import metrics as mx
+from fieldaug import vegmask as vm
+from fieldaug.imagecore import save_pgm
 
 
 def hand_case_cm():
@@ -90,6 +94,24 @@ class TestIouMetrics:
         cm = np.array([[5, 0, 0], [5, 0, 0], [0, 0, 0]])
         # class 1 present in gt, never predicted: precision contribution 0
         assert mx.mean_precision(cm) == pytest.approx((5 / 10 + 0.0) / 2)
+
+    @pytest.mark.parametrize("cm, precision, recall", [
+        # class 2 predicted once, never in ground truth: an empty row
+        ([[4, 1, 1], [2, 3, 0], [0, 0, 0]], (4 / 6 + 3 / 4 + 0) / 3, (4 / 6 + 3 / 5 + 0) / 3),
+        # class 1 in ground truth, never predicted: an empty column
+        ([[4, 0, 2], [3, 0, 1], [0, 0, 5]], (4 / 7 + 0 + 5 / 8) / 3, (4 / 6 + 0 + 5 / 5) / 3),
+        # class 2 absent from both: averaged over two classes
+        ([[5, 1, 0], [2, 6, 0], [0, 0, 0]], (5 / 7 + 6 / 7) / 2, (5 / 6 + 6 / 8) / 2),
+    ], ids=["empty-row", "empty-column", "absent-class"])
+    def test_precision_and_recall_edge_cases(self, cm, precision, recall):
+        assert mx.mean_precision(np.array(cm)) == pytest.approx(precision, rel=1e-15)
+        assert mx.mean_recall(np.array(cm)) == pytest.approx(recall, rel=1e-15)
+
+    def test_all_absent_rejected(self):
+        with pytest.raises(ValueError, match="precision undefined"):
+            mx.mean_precision(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="recall undefined"):
+            mx.mean_recall(np.zeros((3, 3)))
 
 
 def disk_mask(shape, cv, cu, radius):
@@ -223,6 +245,25 @@ class TestInstanceSetIO:
         mx.save_instance_set(tmp_path / "set", masks)
         loaded, scores = mx.load_instance_set(tmp_path / "set")
         assert scores is None and len(loaded) == 2
+
+    def test_masks_travel_in_the_vegmask_codec(self, tmp_path, rng):
+        masks = [rng.random((5, 7)) < 0.5 for _ in range(2)]
+        mx.save_instance_set(tmp_path / "set", masks)
+        files = sorted((tmp_path / "set").glob("*.pgm"))
+        assert [f.read_bytes() for f in files] == [vm.mask_to_pgm(m) for m in masks]
+        # gray values either side of the codec's threshold
+        gray = save_pgm(np.resize(np.array([0, 127, 128, 255], np.uint8), (5, 7)))
+        files[1].write_bytes(gray)
+        loaded, _ = mx.load_instance_set(tmp_path / "set")
+        assert np.array_equal(loaded[0], masks[0])
+        assert np.array_equal(loaded[1], vm.mask_from_pgm(gray))
+
+    def test_unreadable_mask_named(self, tmp_path, rng):
+        mx.save_instance_set(tmp_path / "set", [rng.random((4, 4)) < 0.5] * 2)
+        bad = tmp_path / "set" / "instance_0001.pgm"
+        bad.write_bytes(b"not a mask")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: bad magic")):
+            mx.load_instance_set(tmp_path / "set")
 
     def test_missing_score_rejected(self, tmp_path, rng):
         masks = [rng.random((4, 4)) < 0.5 for _ in range(2)]

@@ -407,6 +407,16 @@ class TestParameterTable:
         assert np.array_equal(got, apply_policy(random_image, as_int, RandomStream(11)))
         assert P.compile_policy(as_float).entries[0].values["max_rects"] == 2
 
+    def test_integral_float_for_integer_key_saves_as_an_integer(self):
+        text = save_policy(Policy([PolicyEntry("random_erasing", 1.0, {"max_rects": 2.0})]))
+        assert "max_rects=2\n" in text
+        assert load_policy(text).entries[0].params == {"max_rects": 2}
+
+    def test_non_integral_value_for_integer_key_rejected(self):
+        pol = Policy([PolicyEntry("random_erasing", 1.0, {"max_rects": 2.5})])
+        with pytest.raises(PolicyError, match="max_rects=2.5 is not an integer"):
+            P.compile_policy(pol)
+
 
 class TestRebinding:
     """Instrumentation that rebinds ``augment.<function>`` in its module,

@@ -291,6 +291,28 @@ BAD_BUFFERS = [
 ]
 
 
+class TestViewBatches:
+    @pytest.mark.parametrize("indices", [[5, 0, 3], [10 ** 9, 10 ** 9 + 1, 10 ** 9 + 2]],
+                             ids=["training", "probe"])
+    def test_equals_the_per_image_loop(self, indices, soil_bank):
+        images = tt.make_synthetic_corpus(3, size=12, seed=4)
+        plan = P.compile_policy(P.default_policy(3))
+        got = tt.view_batches(images, plan, indices, 8, soil_bank)
+        views1, views2 = [], []
+        for img, index in zip(images, indices):
+            v1, v2 = P.make_views(img, plan, index, soil_bank=soil_bank)
+            views1.append(v1)
+            views2.append(v2)
+        for x, views in zip(got, (views1, views2)):
+            expected = tt.prepare_batch(views, 8)
+            assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+
+    def test_indices_must_parallel_the_images(self):
+        images = tt.make_synthetic_corpus(3, size=8)
+        with pytest.raises(ValueError):
+            tt.view_batches(images, tiny_policy(), [0, 1], 8)
+
+
 class TestCheckpointCodec:
     def test_round_trip_bit_identical(self):
         model = small_model(seed=3)
@@ -430,6 +452,14 @@ class TestTrainConfigText:
     ])
     def test_values_save_checkpoint_cannot_pack_rejected(self, name, value, message):
         with pytest.raises(ValueError, match=message):
+            tt.TrainConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 2.5), ("epochs", 3.0), ("embed_dim", 4.0), ("input_size", 8.5),
+        ("seed", 1.5), ("max_steps", 2.5),
+    ])
+    def test_non_integer_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
             tt.TrainConfig(**{name: value}).validate()
 
     def test_largest_packable_values_round_trip(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldaug import twins as tw
 
@@ -116,6 +118,16 @@ class TestLoss:
         a = tw.bt_loss_grad(z1, z2)[2]
         b = tw.bt_loss_grad(z1[:, perm], z2[:, perm])[2]
         assert a == pytest.approx(b, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 12), d=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           lam=st.floats(1e-6, 10.0))
+    def test_gradient_path_loss_is_bt_loss(self, n, d, seed, lam):
+        rng = np.random.default_rng(seed)
+        z1 = rng.standard_normal((n, d))
+        z2 = rng.standard_normal((n, d))
+        loss, _, _, c = tw._bt_core(z1, z2, lam)
+        assert tw.bt_loss(c, lam) == loss
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
