@@ -683,9 +683,12 @@ def _cmd_eval(args, manifest: Manifest) -> int:
             gt_masks, _ = metrics.load_instance_set(gt_set_dir)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        ap, ar = metrics.instance_ap_ar(
-            pred_masks, gt_masks, pred_scores, iou_threshold=args.iou_threshold
-        )
+        try:
+            ap, ar = metrics.instance_ap_ar(
+                pred_masks, gt_masks, pred_scores, iou_threshold=args.iou_threshold
+            )
+        except ValueError as exc:  # the sets' mask shapes differ
+            raise UsageError(f"{pred_set_dir}: {exc}") from exc
         aps.append(ap)
         ars.append(ar)
         dics.append(metrics.abs_dic(len(pred_masks), len(gt_masks)))

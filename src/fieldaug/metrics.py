@@ -235,8 +235,9 @@ def load_label_map(data: bytes) -> np.ndarray:
 
 def load_instance_set(directory) -> tuple[list[np.ndarray], list[float] | None]:
     """Read ``*.pgm`` masks in sorted filename order; values > 127 are
-    foreground, and an unreadable mask raises ``ValueError`` naming it.
-    If ``scores.txt`` exists it must score every mask."""
+    foreground, and an unreadable mask raises ``ValueError`` naming it, as
+    masks of different shapes do the directory. If ``scores.txt`` exists it
+    must score every mask."""
     directory = Path(directory)
     mask_paths = sorted(directory.glob("*.pgm"))
     masks = []
@@ -245,6 +246,8 @@ def load_instance_set(directory) -> tuple[list[np.ndarray], list[float] | None]:
             masks.append(mask_from_pgm(p.read_bytes()))
         except ValueError as exc:
             raise ValueError(f"{p}: {exc}") from None
+    if len({m.shape for m in masks}) > 1:
+        raise ValueError(f"{directory}: instance masks must share dimensions")
     scores_path = directory / "scores.txt"
     if not scores_path.exists():
         return masks, None

@@ -34,7 +34,7 @@ from . import twins
 from .imagecore import bilinear_resize, ensure_u8
 from .policy import Plan, Policy, compile_policy, make_views
 from .augment import SoilBank
-from .rng import RandomStream, derive_seed
+from .rng import RandomStream, below_many_many, derive_seed, streams_per_pass
 
 __all__ = [
     "ENC_HIDDEN",
@@ -587,20 +587,34 @@ def model_grad_check(
 # synthetic corpora
 # ---------------------------------------------------------------------------
 
-def _soil_base(stream: RandomStream, size: int) -> np.ndarray:
-    """Brown per-pixel noise. Fine-grained on purpose: after per-channel
-    standardization roughly half the pixels of any non-constant image have
-    positive excess green, and only spatially coherent regions survive the
-    mask refinement."""
-    noise = stream.below_many(size * size * 3, np.tile((50, 40, 35), size * size))
-    return (noise.reshape(size, size, 3) + (100, 70, 40)).astype(np.uint8)
+def _noise_images(streams: list[RandomStream], size: int, bounds, offsets) -> list[np.ndarray]:
+    """One (size, size, 3) uint8 image per stream: ``below_many(size * size
+    * 3, bounds)`` of the stream plus ``offsets`` (one value per channel, or
+    a row of them per stream), clipped at 255. The streams share lane
+    passes, and each pass's draws become images before the next starts."""
+    n = size * size * 3
+    per = streams_per_pass(n)
+    offsets = np.broadcast_to(offsets, (len(streams), 3))
+    images = []
+    for start in range(0, len(streams), per):
+        noise = below_many_many(streams[start:start + per], n, bounds).reshape(-1, size, size, 3)
+        noise += offsets[start:start + per, None, None]
+        np.minimum(noise, 255, out=noise)
+        images.extend(img.astype(np.uint8) for img in noise)
+    return images
 
 
 def make_synthetic_soil(count: int, size: int = 16, seed: int = 0) -> list[np.ndarray]:
     """Soil-only candidates for bank building; filter with
     :func:`fieldaug.augment.build_soil_bank` (a minority trip the
-    vegetation check by chance and get rejected there)."""
-    return [_soil_base(RandomStream(derive_seed(seed, i)), size) for i in range(count)]
+    vegetation check by chance and get rejected there).
+
+    Brown per-pixel noise. Fine-grained on purpose: after per-channel
+    standardization roughly half the pixels of any non-constant image have
+    positive excess green, and only spatially coherent regions survive the
+    mask refinement."""
+    streams = [RandomStream(derive_seed(seed, i)) for i in range(count)]
+    return _noise_images(streams, size, np.tile((50, 40, 35), size * size), (100, 70, 40))
 
 
 def make_synthetic_corpus(count: int, size: int = 16, seed: int = 0) -> list[np.ndarray]:
@@ -611,23 +625,22 @@ def make_synthetic_corpus(count: int, size: int = 16, seed: int = 0) -> list[np.
     independently per image, so a corpus carries several independent
     image-identity factors; self-supervised training can only decorrelate
     embedding dimensions when the data offers that many factors to
-    separate."""
-    images = []
-    for i in range(count):
-        stream = RandomStream(derive_seed(seed, i))
-        base = (
-            60 + stream.next_below(140),
-            50 + stream.next_below(120),
-            30 + stream.next_below(110),
-        )
-        noise = stream.below_many(size * size * 3, 20).reshape(size, size, 3)
-        img = np.minimum(255, noise + base).astype(np.uint8)
+    separate.
+
+    Each image's stream draws its base color, its noise, then its blobs;
+    streams are independent, so every base is drawn first, the noise of
+    many images shares lane passes, and the blobs come last."""
+    streams = [RandomStream(derive_seed(seed, i)) for i in range(count)]
+    bases = np.array([(60 + s.next_below(140), 50 + s.next_below(120), 30 + s.next_below(110))
+                      for s in streams], dtype=np.int64).reshape(count, 3)
+    images = _noise_images(streams, size, 20, bases)
+    vv, uu = np.mgrid[0:size, 0:size].astype(np.float64)
+    for stream, img in zip(streams, images):
         blob_color = (
             10 + stream.next_below(80),
             90 + stream.next_below(140),
             10 + stream.next_below(80),
         )
-        vv, uu = np.mgrid[0:size, 0:size].astype(np.float64)
         for _ in range(1 + stream.next_below(3)):
             cx = stream.uniform(0, size - 1)
             cy = stream.uniform(0, size - 1)
@@ -640,7 +653,6 @@ def make_synthetic_corpus(count: int, size: int = 16, seed: int = 0) -> list[np.
             minor = (-du * math.sin(angle) + dv * math.cos(angle)) / rb
             inside = major ** 2 + minor ** 2 <= 1.0
             img[inside] = blob_color
-        images.append(img)
     return images
 
 

@@ -882,6 +882,25 @@ class TestEvalCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: bad magic")
 
+    @staticmethod
+    def _instance_argv(tmp_path):
+        return ["eval", "--task", "instance", "--pred", str(tmp_path / "pred"),
+                "--gt", str(tmp_path / "gt"), "--manifest", str(tmp_path / "eval.manifest.txt")]
+
+    def test_unscored_set_of_mixed_shapes_is_usage_error_naming_it(self, tmp_path, capsys):
+        mx.save_instance_set(tmp_path / "pred", [np.eye(4, dtype=bool), np.eye(5, dtype=bool)])
+        mx.save_instance_set(tmp_path / "gt", [np.eye(4, dtype=bool)])
+        assert cli.main(self._instance_argv(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'pred'}: instance masks must share dimensions\n")
+
+    def test_pred_gt_shape_mismatch_is_usage_error_naming_the_pred_set(self, tmp_path, capsys):
+        mx.save_instance_set(tmp_path / "pred", [np.eye(4, dtype=bool)])
+        mx.save_instance_set(tmp_path / "gt", [np.eye(5, dtype=bool)])
+        assert cli.main(self._instance_argv(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'pred'}: mask shape mismatch: (4, 4) vs (5, 5)\n")
+
 
 class TestManifestOnFailure:
     def test_error_manifest_written(self, tmp_path):

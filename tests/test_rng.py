@@ -193,13 +193,77 @@ def test_one_lane_pass_per_128px_view(monkeypatch):
     bank = augment.build_soil_bank(tinytrain.make_synthetic_soil(32, 16, seed=derive_seed(0, 2)))
     pol = policy.default_policy(derive_seed(0, 3))
     passes = []
-    lane_pass = RandomStream._lane_s1_words
+    lane_pass = rng._lane_pass
 
-    def counted(stream, *args):
-        passes.append(len(args[0]))
-        return lane_pass(stream, *args)
+    def counted(streams, steps, out):
+        passes.append(out.size)
+        return lane_pass(streams, steps, out)
 
-    monkeypatch.setattr(RandomStream, "_lane_s1_words", counted)
+    monkeypatch.setattr(rng, "_lane_pass", counted)
     for i, img in enumerate(corpus):
         policy.make_views(img, pol, i, soil_bank=bank)
     assert len(passes) <= 1.25 * 2 * len(corpus)
+
+
+SET_SIZES = sorted({
+    0, 1, rng.SET_STEPS - 1, rng.SET_STEPS, rng.SET_STEPS + 1,
+    rng.CROSSOVER - 1, rng.CROSSOVER + 1, 768,
+    rng.READ_AHEAD - 1, rng.READ_AHEAD + 1,
+    rng.MAX_PASS - 1, rng.MAX_PASS, rng.MAX_PASS + 1,
+})
+
+# (stream-set call, the per-stream call each row must equal)
+SET_METHODS = {
+    "u64s_many": (rng.u64s_many, lambda s, n: s.u64s(n)),
+    "below_many_many": (lambda streams, n: rng.below_many_many(streams, n, 7),
+                        lambda s, n: s.below_many(n, 7)),
+    "below_many_many_per_draw": (lambda streams, n: rng.below_many_many(streams, n, _bounds(n)),
+                                 lambda s, n: s.below_many(n, _bounds(n))),
+}
+
+
+@st.composite
+def stream_sets(draw):
+    """A draw size, a stream count (at most 500,000 draws in all) and up to
+    three streams to hold read-ahead values."""
+    n = draw(st.one_of(st.sampled_from(SET_SIZES), st.integers(0, rng.MAX_PASS + rng.BLOCK)))
+    count = draw(st.integers(0, min(600, 500_000 // max(n, 1))))
+    ahead = draw(st.sets(st.integers(0, count - 1), max_size=3)) if count else set()
+    return n, count, ahead
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=stream_sets(), method=st.sampled_from(sorted(SET_METHODS)),
+       seed=st.integers(0, MASK64),
+       skips=st.lists(st.integers(0, 3 * rng.BLOCK), min_size=1, max_size=8))
+@example(sizes=(1, 600, {0, 599}), method="u64s_many", seed=0, skips=[0, 5])
+@example(sizes=(768, 600, set()), method="below_many_many", seed=1, skips=[0])
+@example(sizes=(0, 0, set()), method="u64s_many", seed=2, skips=[0])
+@example(sizes=(rng.MAX_PASS, 15, {2}), method="below_many_many_per_draw", seed=3, skips=[1, 0])
+@example(sizes=(rng.MAX_PASS + 1, 3, {1}), method="u64s_many", seed=4, skips=[3])
+def test_stream_set_rows_equal_per_stream_calls(sizes, method, seed, skips):
+    n, count, ahead = sizes
+    many, each = SET_METHODS[method]
+    a = [RandomStream(derive_seed(seed, i)) for i in range(count)]
+    b = [RandomStream(derive_seed(seed, i)) for i in range(count)]
+    for i, (x, y) in enumerate(zip(a, b)):
+        # mixed positions; a few streams hold read-ahead values
+        prelude = rng.READ_AHEAD + i if i in ahead else skips[i % len(skips)]
+        assert x.u64s(prelude).tolist() == y.u64s(prelude).tolist()
+    got = many(a, n)
+    assert got.shape == (count, n)
+    for i, (x, y) in enumerate(zip(a, b)):
+        assert got[i].tolist() == each(y, n).tolist(), i
+        assert x.next_u64() == y.next_u64(), i
+
+
+def test_stream_set_validation():
+    s, t = RandomStream(1), RandomStream(2)
+    with pytest.raises(ValueError):
+        rng.u64s_many([s, t], -1)
+    with pytest.raises(ValueError):
+        rng.u64s_many([s, t, s], 4)
+    with pytest.raises(ValueError):
+        rng.below_many_many([s, t], 2, [4, 0])
+    # a rejected call moves no stream
+    assert s.next_u64() == RandomStream(1).next_u64()

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from fieldaug import tinytrain as tt
 from fieldaug import twins as tw
 from fieldaug.augment import build_soil_bank
 from fieldaug.policy import Policy, PolicyEntry
+from fieldaug.rng import RandomStream, derive_seed
 
 
 def small_model(seed=0):
@@ -399,6 +403,72 @@ class TestSyntheticData:
         soil = tt.make_synthetic_soil(16, size=16, seed=5)
         bank = build_soil_bank(soil)
         assert len(bank) >= 1
+
+    # 42 streams of a 16 px image share a lane pass, so these counts fill
+    # one pass, straddle the edge of the first and second, and fill 13
+    @pytest.mark.parametrize("count, size", [
+        (1, 16), (41, 16), (42, 16), (43, 16), (85, 16), (512, 16), (3, 128), (5, 8),
+    ])
+    @pytest.mark.parametrize("make, oracle", [
+        (tt.make_synthetic_corpus, "oracle_corpus"), (tt.make_synthetic_soil, "oracle_soil"),
+    ])
+    def test_each_image_equals_its_own_stream(self, make, oracle, count, size):
+        # image i depends only on stream i, whatever the count
+        seed = 7
+        got = make(count, size, seed=seed)
+        want = getattr(self, oracle)(count, size, seed)
+        assert len(got) == count
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == np.uint8 and a.shape == (size, size, 3) and a.flags.owndata, i
+            assert np.array_equal(a, b), i
+
+    def test_corpus_numpy_peak_stays_small(self):
+        # a stream set's draws become images pass by pass; holding all
+        # 512 x 768 draws at once would peak near 10 MB
+        tt.make_synthetic_corpus(4, 16)
+        tracemalloc.start()
+        try:
+            tt.make_synthetic_corpus(512, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
+    # one stream at a time, in each image's draw order
+    @staticmethod
+    def oracle_corpus(count, size, seed):
+        images = []
+        for i in range(count):
+            stream = RandomStream(derive_seed(seed, i))
+            base = (60 + stream.next_below(140), 50 + stream.next_below(120),
+                    30 + stream.next_below(110))
+            noise = stream.below_many(size * size * 3, 20).reshape(size, size, 3)
+            img = np.minimum(255, noise + base).astype(np.uint8)
+            blob_color = (10 + stream.next_below(80), 90 + stream.next_below(140),
+                          10 + stream.next_below(80))
+            vv, uu = np.mgrid[0:size, 0:size].astype(np.float64)
+            for _ in range(1 + stream.next_below(3)):
+                cx = stream.uniform(0, size - 1)
+                cy = stream.uniform(0, size - 1)
+                ra = stream.uniform(size / 7.0, size / 2.6)
+                rb = stream.uniform(size / 7.0, size / 2.6)
+                angle = stream.uniform(0.0, math.pi)
+                du = uu - cx
+                dv = vv - cy
+                major = (du * math.cos(angle) + dv * math.sin(angle)) / ra
+                minor = (-du * math.sin(angle) + dv * math.cos(angle)) / rb
+                img[major ** 2 + minor ** 2 <= 1.0] = blob_color
+            images.append(img)
+        return images
+
+    @staticmethod
+    def oracle_soil(count, size, seed):
+        images = []
+        for i in range(count):
+            stream = RandomStream(derive_seed(seed, i))
+            noise = stream.below_many(size * size * 3, np.tile((50, 40, 35), size * size))
+            images.append((noise.reshape(size, size, 3) + (100, 70, 40)).astype(np.uint8))
+        return images
 
 
 class TestTrainConfigText:
