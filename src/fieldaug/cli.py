@@ -38,7 +38,6 @@ from .policy import (
     compile_policy,
     load_policy,
     make_views,
-    validate_policy,
 )
 from .rng import RandomStream, derive_seed
 
@@ -75,13 +74,30 @@ class Manifest:
         if error:
             lines.append(f"error={error}")
         lines.append(f"wall_seconds={time.perf_counter() - self._t0:.6f}")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
+        _write_files({path: ("\n".join(lines) + "\n").encode()})
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
+
+def _write_files(files: dict) -> None:
+    """Write each path's bytes to a temp file beside it, in its directory
+    (made if missing), then rename every temp into place, so a failure
+    leaves neither a partial file nor a temp file behind. Every file the
+    CLI writes goes through here."""
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    try:
+        for directory in {path.parent for path in files}:
+            directory.mkdir(parents=True, exist_ok=True)
+        for path, data in files.items():
+            temps[path].write_bytes(data)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
 
 def _load(path: Path, decode, what: str):
     """``decode`` of the bytes in the file at ``path``. A missing file is a
@@ -95,17 +111,16 @@ def _load(path: Path, decode, what: str):
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _load_run_policy(policy_path: Path, seed_override: int | None) -> Policy:
-    """Load and validate a policy file, with ``--seed`` replacing its
-    master seed when given."""
+def _load_run_policy(policy_path: Path, seed_override: int | None) -> tuple[Policy, Plan]:
+    """A policy file and its plan, compiled once, with ``--seed`` replacing
+    its master seed when given; loading checked all but the seed."""
     pol = _load(policy_path, load_policy, "policy file")
     if seed_override is not None:
         pol.master_seed = seed_override
-        try:
-            validate_policy(pol)
-        except PolicyError as exc:
-            raise UsageError(f"--seed: {exc}") from exc
-    return pol
+    try:
+        return pol, compile_policy(pol)
+    except PolicyError as exc:
+        raise UsageError(f"--seed: {exc}") from exc
 
 
 def _soil_bank(policy_path: Path, pol: Policy, needed: bool,
@@ -228,8 +243,7 @@ def _image_run(args, manifest: Manifest):
     input_dir = Path(args.input)
     files = _sorted_ppms(input_dir)
     policy_path = Path(args.policy)
-    pol = _load_run_policy(policy_path, args.seed)
-    plan = compile_policy(pol)
+    pol, plan = _load_run_policy(policy_path, args.seed)
     bank = _soil_bank(policy_path, pol, plan.needs_bank)
     # worker processes worth starting: no more than the inputs or CPUs
     workers = min(args.workers, len(files), os.cpu_count() or 1)
@@ -245,21 +259,6 @@ def _image_run(args, manifest: Manifest):
 # ---------------------------------------------------------------------------
 # augment
 # ---------------------------------------------------------------------------
-
-def _write_files(files: dict) -> None:
-    """Write each path's bytes to a temp file beside it, then rename every
-    temp into place, so a failure leaves neither a partial file nor a
-    temp file behind."""
-    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
-    try:
-        for path, data in files.items():
-            temps[path].write_bytes(data)
-        for path, temp in temps.items():
-            os.replace(temp, path)
-    finally:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
-
 
 def _augment_task(task) -> tuple[str, str]:
     """Views for one input file; any failure is returned as a message
@@ -281,7 +280,6 @@ def _augment_task(task) -> tuple[str, str]:
 def _cmd_augment(args, manifest: Manifest) -> int:
     files, _, plan, bank, workers = _image_run(args, manifest)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest.add("output", out_dir)
     if not files:
         manifest.add("views_written", 0)
@@ -311,7 +309,6 @@ def _cmd_soilbank(args, manifest: Manifest) -> int:
     input_dir = Path(args.input)
     files = _sorted_ppms(input_dir)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     admitted = []
     failures = 0
@@ -327,11 +324,11 @@ def _cmd_soilbank(args, manifest: Manifest) -> int:
             augment.refined_vegetation_mask(img, args.theta)
         )
         if fraction < args.max_fraction:
-            (out_dir / path.name).write_bytes(data)
+            _write_files({out_dir / path.name: data})
             admitted.append((path.name, fraction))
 
-    index_lines = [f"{name} {fraction!r}" for name, fraction in admitted]
-    (out_dir / "index.txt").write_text("\n".join(index_lines) + "\n" if index_lines else "")
+    index_lines = [f"{name} {fraction!r}\n" for name, fraction in admitted]
+    _write_files({out_dir / "index.txt": "".join(index_lines).encode()})
     manifest.add("input", input_dir)
     manifest.add("output", out_dir)
     manifest.add("theta", args.theta)
@@ -361,8 +358,7 @@ def _load_dataset(args, cfg: tinytrain.TrainConfig):
 def _write_trace(path: Path, trace) -> None:
     rows = ["step,loss,diag_mean,offdiag_mean"]
     rows += [f"{s},{l!r},{d!r},{o!r}" for s, l, d, o in trace]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(rows) + "\n")
+    _write_files({path: ("\n".join(rows) + "\n").encode()})
 
 
 def _cmd_pretrain(args, manifest: Manifest) -> int:
@@ -377,8 +373,7 @@ def _cmd_pretrain(args, manifest: Manifest) -> int:
             raise UsageError(f"--seed: {exc}") from exc
 
     policy_path = Path(args.policy)
-    pol = _load_run_policy(policy_path, None)
-    plan = compile_policy(pol)
+    pol, plan = _load_run_policy(policy_path, None)
     bank = _soil_bank(policy_path, pol, plan.needs_bank,
                       cfg if args.synthetic is not None else None)
 
@@ -398,7 +393,6 @@ def _cmd_pretrain(args, manifest: Manifest) -> int:
         manifest.add("trace_csv", trace_path)
         manifest.add("failed_step", exc.step)
         raise
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     _write_files({out_path: tinytrain.save_checkpoint(ckpt)})
     _write_trace(trace_path, trace)
 
@@ -539,7 +533,7 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
     if args.pairs and args.names is not None:
         raise UsageError("--names applies to --full only; --pairs sweeps all six")
     policy_path = Path(args.policy)
-    base = _load_run_policy(policy_path, args.seed)
+    base, _ = _load_run_policy(policy_path, args.seed)
     cfg = tinytrain.TrainConfig(
         batch_size=args.batch,
         learning_rate=args.lr,
@@ -571,7 +565,6 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
     dataset = _load_dataset(args, cfg)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest.add("mode", "pairs" if args.pairs else "full")
     manifest.add("dataset_images", len(dataset))
     manifest.add("steps", args.steps)
@@ -589,9 +582,9 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
     for order, label in orders.items():
         cells[order] = _run_cell(dataset, _cell_policy(base, order), bank, cfg)
         print(f"{label} {args.metric_proxy}={cells[order][proxy]:.4f}")
-    rows = ["order,loss,diag_mean,offdiag_mean"]
-    rows += [f"{'+'.join(o)}," + ",".join(map(repr, cell)) for o, cell in cells.items()]
-    (out_dir / "cells.csv").write_text("\n".join(rows) + "\n")
+    tables = {"cells.csv": ["order,loss,diag_mean,offdiag_mean"]}
+    tables["cells.csv"] += [f"{'+'.join(o)}," + ",".join(map(repr, cell))
+                            for o, cell in cells.items()]
     if args.pairs:
         # row a, column b holds the cell that runs a, then b
         by_pair = {(o[0], o[-1]): cell for o, cell in cells.items()}
@@ -599,7 +592,9 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
             rows = ["first\\second," + ",".join(sweep_names)]
             rows += [",".join([a] + [f"{by_pair[a, b][column]!r}" for b in sweep_names])
                      for a in sweep_names]
-            (out_dir / f"grid_{name}.csv").write_text("\n".join(rows) + "\n")
+            tables[f"grid_{name}.csv"] = rows
+    _write_files({out_dir / name: ("\n".join(rows) + "\n").encode()
+                  for name, rows in tables.items()})
     manifest.add("cells", len(cells))
     return EXIT_OK
 
@@ -629,7 +624,7 @@ def _emit_metrics(values: list[tuple[str, float]], csv_path: str | None,
         manifest.add(key, f"{value!r}")
     csv_text = "metric,value\n" + "\n".join(f"{k},{v!r}" for k, v in values) + "\n"
     if csv_path:
-        Path(csv_path).write_text(csv_text)
+        _write_files({Path(csv_path): csv_text.encode()})
     else:
         sys.stdout.write(csv_text)
 
@@ -844,16 +839,18 @@ def main(argv: list[str] | None = None) -> int:
     manifest = Manifest(args.command, argv)
     manifest_path = _default_manifest_path(args)
     try:
-        code = args.handler(args, manifest)
+        code, error = args.handler(args, manifest), ""
     except UsageError as exc:
+        code, error = EXIT_USAGE, str(exc)
         print(f"error: {exc}", file=sys.stderr)
-        manifest.write(manifest_path, "error", str(exc))
-        return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - manifest must record any failure
+        code, error = EXIT_RUNTIME, f"{type(exc).__name__}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
-        manifest.write(manifest_path, "error", f"{type(exc).__name__}: {exc}")
-        return EXIT_RUNTIME
-    manifest.write(manifest_path, "ok" if code == EXIT_OK else "error")
+    try:
+        manifest.write(manifest_path, "ok" if code == EXIT_OK else "error", error)
+    except OSError as exc:
+        print(f"error: manifest {manifest_path} not written: {exc}", file=sys.stderr)
+        return code or EXIT_RUNTIME
     return code
 
 

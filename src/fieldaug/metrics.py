@@ -237,7 +237,7 @@ def load_instance_set(directory) -> tuple[list[np.ndarray], list[float] | None]:
     """Read ``*.pgm`` masks in sorted filename order; values > 127 are
     foreground, and an unreadable mask raises ``ValueError`` naming it, as
     masks of different shapes do the directory. If ``scores.txt`` exists it
-    must score every mask."""
+    must score every mask within [0, 1], or the error names it."""
     directory = Path(directory)
     mask_paths = sorted(directory.glob("*.pgm"))
     masks = []
@@ -266,7 +266,10 @@ def load_instance_set(directory) -> tuple[list[np.ndarray], list[float] | None]:
         if p.name not in table:
             raise ValueError(f"{scores_path} has no score for {p.name}")
         scores.append(table[p.name])
-    _check_instances(masks, scores)
+    try:
+        _check_instances(masks, scores)
+    except ValueError as exc:  # a score out of range
+        raise ValueError(f"{scores_path}: {exc}") from None
     return masks, scores
 
 

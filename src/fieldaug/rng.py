@@ -13,15 +13,15 @@ Bulk draws (``u64s``, ``below_many``, ``uniforms``, ``bytes``) return numpy
 arrays holding exactly the values that the same number of scalar calls
 would return, and the next draw is the one those calls would give. Large
 draws use the generator's linearity over GF(2): the state transition is a
-256x256 bit matrix T, so lanes started ``BLOCK`` (or ``2 * BLOCK``) draws
-apart (by powers of T**BLOCK, the jump technique of Blackman and Vigna,
-"Scrambled linear pseudorandom number generators", ACM TOMS 2021) can all
-be stepped at once as ``uint64`` arrays. A lane pass's cost is mostly
-fixed (the jumps to the lane starts and the per-step array calls), so a
-pass for a large draw also computes the ``READ_AHEAD`` draws after it and
-keeps them for the stream's next calls, scalar or bulk. A default-policy
-view of a 128 px image makes one lane pass, where it made 3.875 without
-the read-ahead (one for mixing and one per random-erasing rectangle).
+256x256 bit matrix T, so lanes started ``SET_STEPS`` draws apart (by powers
+of T**BLOCK, the jump technique of Blackman and Vigna, "Scrambled linear
+pseudorandom number generators", ACM TOMS 2021) can all be stepped at once
+as ``uint64`` arrays. A lane pass's cost is mostly fixed (the jumps to the
+lane starts and the per-step array calls), so a pass for a large draw also
+computes the ``READ_AHEAD`` draws after it and keeps them for the stream's
+next calls, scalar or bulk. A default-policy view of a 128 px image makes
+one lane pass, where it made 3.875 without the read-ahead (one for mixing
+and one per random-erasing rectangle).
 
 A stream set shares one lane pass among many streams: row i of
 ``u64s_many(streams, n)`` (and of ``below_many_many``) equals
@@ -46,35 +46,32 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _TWO53_INV = 2.0 ** -53
 
-# Draws per lane (in passes of up to LANES_PER_PASS * BLOCK draws), and the
-# draw count from which seeding and stepping lanes beats the scalar loop.
-# Both were measured on a 2-core Xeon VM with CPython 3.11 and numpy 2.4
+# Lane starts are reached by jumps of BLOCK * 2**k draws. CROSSOVER is the
+# draw count from which seeding and stepping one stream's lanes beats the
+# scalar loop. Measured on a 2-core Xeon VM with CPython 3.11 and numpy 2.4
 # (figures in CHANGES.md).
 BLOCK = 16
-CROSSOVER = 512
-# A lane pass for a draw of READ_AHEAD values or more also computes the
-# next READ_AHEAD, which the stream hands out before stepping again: a
-# 128 px view's mixing pass then covers its random-erasing fills. Smaller
-# draws read nothing ahead; a 16 px synthetic image's stream makes one
-# 768-value draw and ends, so an extra jump level there would be waste.
+CROSSOVER = 768
+# A single stream's draw of READ_AHEAD values or more (a 128 px mixing draw,
+# the desk model's larger weight blocks) also computes the next READ_AHEAD
+# for its later calls: a 128 px view's mixing pass covers its erasing fills.
+# Smaller draws read none ahead, nor do stream sets (synthetic images).
 READ_AHEAD = 8192
-# Most lanes stepped together in one pass. A pass of more draws than
-# LANES_PER_PASS * BLOCK starts its lanes 2 * BLOCK draws apart, so a pass
-# holds at most MAX_PASS = 32,768 draws (256 KiB per buffer): a 128 px
-# mixing draw and its read-ahead (16,384 + 8,192) take one pass of 768 lanes.
-LANES_PER_PASS = 1024
-MAX_PASS = 2 * BLOCK * LANES_PER_PASS
-# Draws per lane when many streams share a pass (u64s_many). Measured as
-# above, per stream of 768 draws in passes of 42 streams: 22 us in 32-step
-# lanes, 30 in 64-step and 33 in 128-step lanes; 16-step lanes fit only 21
-# streams under LANES_PER_PASS (30 us). One stream's below_many of 768
-# values takes about 280 us.
+# Draws per lane, for one stream and for many. Measured as above, per
+# stream of 768 draws in passes of 42 streams: 22 us in 32-step lanes, 30
+# in 64-step and 33 in 128-step lanes; 16-step lanes fit only 21 streams
+# under LANES_PER_PASS (30 us), and one stream's below_many(768) 280 us.
 SET_STEPS = 2 * BLOCK
+# Most lanes stepped together in one pass. A pass holds at most MAX_PASS =
+# 32,768 draws (256 KiB per buffer): a 128 px mixing draw and its
+# read-ahead (16,384 + 8,192) take one pass of 768 lanes.
+LANES_PER_PASS = 1024
+MAX_PASS = SET_STEPS * LANES_PER_PASS
 
 # _JUMPS[i] is T**(BLOCK * 2**i) as a (1024, 4) table of u64 words
 # (32 KiB): row 16p + v is the advanced state of a state whose only set
-# bits are the nibble v at bits 4p..4p+3. Built on the first bulk draw
-# of CROSSOVER or more values, under the lock.
+# bits are the nibble v at bits 4p..4p+3. Built on the first lane pass
+# that needs them, under the lock.
 _JUMPS: list[np.ndarray] = []
 _JUMPS_LOCK = threading.Lock()
 _U64 = np.dtype("<u8")
@@ -310,32 +307,27 @@ class RandomStream:
         would give."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        out = np.empty(n, dtype=_U64)
-        done = 0
-        if self._ahead is not None:
-            done = min(n, len(self._ahead) - self._read)
-            out[:done] = self._ahead[self._read:self._read + done]
+        ahead, read = self._ahead, self._read
+        done = 0 if ahead is None else min(n, len(ahead) - read)
+        rest = n - done
+        want = rest + (READ_AHEAD if rest >= READ_AHEAD else 0)
+        lanes = want - want % SET_STEPS if rest >= CROSSOVER else 0
+        out = np.empty(max(n, done + lanes), dtype=_U64)
+        if done:
+            out[:done] = ahead[read:read + done]
             self._read += done
-            if self._read == len(self._ahead):
+            if self._read == len(ahead):
                 self._ahead = None
-        while n - done >= CROSSOVER:
-            rest = n - done
-            want = rest + (READ_AHEAD if rest >= READ_AHEAD else 0)
-            # past LANES_PER_PASS lanes, jumps to more lane starts cost more
-            # than the extra steps of lanes twice as long
-            steps = BLOCK if want <= LANES_PER_PASS * BLOCK else 2 * BLOCK
-            size = min(want // steps, LANES_PER_PASS) * steps
-            values = np.empty(size, dtype=_U64)
-            _lane_pass([self], steps, values.reshape(1, size))
-            take = min(size, rest)
-            out[done:done + take] = values[:take]
-            done += take
-            if take < size:
-                self._ahead, self._read = values, take
+        if lanes:
+            _lane_passes([self], out[None, done:done + lanes])
+            if lanes > rest:
+                # a copy: the returned view, not the stream, keeps the buffer
+                self._ahead, self._read = out[n:].copy(), 0
+            done += min(lanes, rest)
         if done < n:
-            out[done:] = self._s1_words(n - done)
-            _scramble(out[done:])
-        return out
+            out[done:n] = self._s1_words(n - done)
+            _scramble(out[done:n])
+        return out[:n]
 
     def uniforms(self, n: int, lo: float, hi: float) -> np.ndarray:
         """``n`` calls of :meth:`uniform` as a float64 array."""
@@ -373,9 +365,8 @@ def u64s_many(streams: list[RandomStream], n: int) -> np.ndarray:
     """``n`` draws from each of ``streams`` (distinct streams, at any
     positions) as a new ``(len(streams), n)`` uint64 array. Row i equals
     ``streams[i].u64s(n)``, and each stream ends where that call would
-    leave it. Streams without read-ahead values share lane passes of
-    ``streams_per_pass(n)`` streams; a stream holding read-ahead values, or
-    any ``n`` above MAX_PASS, takes the single-stream path."""
+    leave it. Streams holding read-ahead values draw through ``u64s``; the
+    rest share lane passes of ``streams_per_pass(n)`` streams."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if len({id(s) for s in streams}) != len(streams):
@@ -383,24 +374,33 @@ def u64s_many(streams: list[RandomStream], n: int) -> np.ndarray:
     out = np.empty((len(streams), n), dtype=_U64)
     shared = []
     for i, stream in enumerate(streams):
-        if stream._ahead is None and n <= MAX_PASS:
+        if stream._ahead is None:
             shared.append(i)
         else:
             out[i] = stream.u64s(n)
     drawn = out if len(shared) == len(streams) else np.empty((len(shared), n), dtype=_U64)
-    head = n - n % SET_STEPS
-    group = streams_per_pass(n)
-    for start in range(0, len(shared), group):
-        members = [streams[i] for i in shared[start:start + group]]
-        rows = drawn[start:start + len(members)]
-        if head:
-            _lane_pass(members, SET_STEPS, rows[:, :head])
-        if head < n:
-            # one more lane per stream, from where its lanes ended
-            _lane_pass(members, n - head, rows[:, head:])
+    _lane_passes([streams[i] for i in shared], drawn)
     if drawn is not out:
         out[shared] = drawn
     return out
+
+
+def _lane_passes(streams: list, out: np.ndarray) -> None:
+    """Fill row i of ``out`` with the next draws of ``streams[i]``, which
+    holds no read-ahead values: the one place a draw becomes lane passes,
+    of at most MAX_PASS draws per stream, in SET_STEPS-draw lanes and then
+    one shorter lane per stream."""
+    group = streams_per_pass(min(out.shape[1], MAX_PASS))
+    for start in range(0, len(streams), group):
+        members = streams[start:start + group]
+        for column in range(0, out.shape[1], MAX_PASS):
+            rows = out[start:start + group, column:column + MAX_PASS]
+            head = rows.shape[1] - rows.shape[1] % SET_STEPS
+            if head:
+                _lane_pass(members, SET_STEPS, rows[:, :head])
+            if head < rows.shape[1]:
+                # one more lane per stream, from where its lanes ended
+                _lane_pass(members, rows.shape[1] - head, rows[:, head:])
 
 
 def below_many_many(streams: list[RandomStream], n: int, k) -> np.ndarray:

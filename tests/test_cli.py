@@ -159,6 +159,25 @@ class TestAugmentCommand:
         assert capsys.readouterr().err == "error: --seed: seed -1 out of u64 range\n"
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--seed", "5"]], ids=["policy-seed", "seed-flag"])
+    def test_policy_walked_once_after_load(self, workspace, monkeypatch, flags):
+        # loading checks each entry, naming its line; the run then compiles
+        # the policy once, with or without --seed
+        checks = []
+        entry_values = fieldaug.policy._entry_values
+
+        def counted(entry, where=""):
+            checks.append(where)
+            return entry_values(entry, where)
+
+        monkeypatch.setattr(fieldaug.policy, "_entry_values", counted)
+        assert cli.main([
+            "augment", "--input", str(workspace / "in"),
+            "--output", str(workspace / "out"),
+            "--policy", str(workspace / "policy.txt"), *flags,
+        ]) == 0
+        assert checks.count("") == len(default_policy().entries)
+
     def test_empty_input_succeeds_with_zero_outputs(self, workspace):
         (workspace / "empty").mkdir()
         code = cli.main([
@@ -485,8 +504,7 @@ def augment(out):
                          str(outputs / out), "--policy", str(root / "p.policy")]) == 0
         return
     (outputs / out).mkdir()
-    pol = cli._load_run_policy(root / "p.policy", None)
-    plan = cli.compile_policy(pol)
+    pol, plan = cli._load_run_policy(root / "p.policy", None)
     with cli._worker_pool(1, {None: plan}, cli._soil_bank(root / "p.policy", pol, True)):
         for i, path in enumerate(inputs):
             assert cli._augment_task((i, str(path), str(outputs / out)))[1] == ""
@@ -901,6 +919,14 @@ class TestEvalCommand:
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'pred'}: mask shape mismatch: (4, 4) vs (5, 5)\n")
 
+    def test_score_out_of_range_is_usage_error_naming_the_scores_file(self, tmp_path, capsys):
+        mx.save_instance_set(tmp_path / "pred", [np.eye(4, dtype=bool)])
+        mx.save_instance_set(tmp_path / "gt", [np.eye(4, dtype=bool)])
+        scores = tmp_path / "pred" / "scores.txt"
+        scores.write_text("instance_0000.pgm 1.5\n")
+        assert cli.main(self._instance_argv(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {scores}: score 1.5 out of [0, 1]\n"
+
 
 class TestManifestOnFailure:
     def test_error_manifest_written(self, tmp_path):
@@ -914,3 +940,36 @@ class TestManifestOnFailure:
         assert code == 2
         text = manifest.read_text()
         assert "status=error" in text and "error=" in text
+
+
+class TestInterruptedWrite:
+    """A write that fails partway leaves neither a partial target nor a
+    temp file, and an earlier file at the target stays as it was."""
+
+    @pytest.fixture
+    def failing_write(self, monkeypatch):
+        def half_then_fail(path, data):
+            with open(path, "wb") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+
+    WRITES = {
+        "manifest": lambda path: cli.Manifest("pretrain", ["--out", "m.ckpt"]).write(path, "ok"),
+        "trace": lambda path: cli._write_trace(path, [(1, 0.5, 0.25, 0.125), (2, 0.4, 0.3, 0.1)]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITES))
+    @pytest.mark.parametrize("earlier", [None, b"earlier run\n"], ids=["new", "replaced"])
+    def test_no_partial_target_and_no_temp_file(self, tmp_path, failing_write, kind, earlier):
+        target = tmp_path / "out" / f"run.{kind}"
+        if earlier is not None:
+            target.parent.mkdir()
+            with open(target, "wb") as f:
+                f.write(earlier)
+        with pytest.raises(OSError, match="disk full"):
+            self.WRITES[kind](target)
+        assert [p.name for p in target.parent.iterdir()] == ([target.name] if earlier else [])
+        if earlier is not None:
+            assert target.read_bytes() == earlier

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fieldaug import augment, policy, rng, tinytrain
 from fieldaug.rng import MASK64, RandomStream, derive_seed, splitmix64
 
-# draws in a pass of LANES_PER_PASS lanes of BLOCK draws; the largest pass is twice that
+# half of MAX_PASS, the most draws per stream in one lane pass
 PASS = rng.LANES_PER_PASS * rng.BLOCK
 
 
@@ -205,6 +205,40 @@ def test_one_lane_pass_per_128px_view(monkeypatch):
     assert len(passes) <= 1.25 * 2 * len(corpus)
 
 
+# (count, n): one stream's u64s(n) where count is None, else u64s_many of count streams
+PLANNED_DRAWS = [(None, n) for n in (rng.CROSSOVER, 2000, 16384, rng.MAX_PASS + 1, 49152)]
+PLANNED_DRAWS += [(count, n) for count in (1, 3, 42) for n in (5, 773, rng.MAX_PASS + 33)]
+
+
+@pytest.mark.parametrize("count, n", PLANNED_DRAWS)
+def test_every_lane_pass_has_set_steps_lanes(monkeypatch, count, n):
+    # one planner for one stream and for many: full lanes are SET_STEPS
+    # draws, each stream gets at most one shorter tail lane, and no pass
+    # exceeds MAX_PASS draws per stream or LANES_PER_PASS lanes
+    streams = [RandomStream(derive_seed(7, i)) for i in range(count or 1)]
+    passes = []
+    lane_pass = rng._lane_pass
+
+    def counted(members, steps, out):
+        passes.append((list(members), steps, out.shape[1]))
+        return lane_pass(members, steps, out)
+
+    monkeypatch.setattr(rng, "_lane_pass", counted)
+    if count is None:
+        streams[0].u64s(n)
+    else:
+        rng.u64s_many(streams, n)
+    assert passes
+    tails = []
+    for members, steps, width in passes:
+        assert width <= rng.MAX_PASS
+        assert len(members) * (width // steps) <= rng.LANES_PER_PASS
+        if steps != rng.SET_STEPS:
+            assert steps == width < rng.SET_STEPS
+            tails += [id(s) for s in members]
+    assert len(tails) == len(set(tails))
+
+
 SET_SIZES = sorted({
     0, 1, rng.SET_STEPS - 1, rng.SET_STEPS, rng.SET_STEPS + 1,
     rng.CROSSOVER - 1, rng.CROSSOVER + 1, 768,
@@ -241,6 +275,7 @@ def stream_sets(draw):
 @example(sizes=(0, 0, set()), method="u64s_many", seed=2, skips=[0])
 @example(sizes=(rng.MAX_PASS, 15, {2}), method="below_many_many_per_draw", seed=3, skips=[1, 0])
 @example(sizes=(rng.MAX_PASS + 1, 3, {1}), method="u64s_many", seed=4, skips=[3])
+@example(sizes=(2 * rng.MAX_PASS + 33, 3, {1}), method="u64s_many", seed=5, skips=[2])
 def test_stream_set_rows_equal_per_stream_calls(sizes, method, seed, skips):
     n, count, ahead = sizes
     many, each = SET_METHODS[method]
