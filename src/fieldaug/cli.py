@@ -34,7 +34,6 @@ from .policy import (
     Policy,
     PolicyEntry,
     PolicyError,
-    apply_policy,
     compile_policy,
     load_policy,
     make_views,
@@ -414,6 +413,10 @@ def _cmd_pretrain(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_gradcheck(args, manifest: Manifest) -> int:
+    try:
+        tinytrain.TrainConfig(seed=args.seed).validate()  # a training seed's rule
+    except ValueError as exc:
+        raise UsageError(f"--seed: {exc}") from exc
     rng = RandomStream(args.seed)
     failed = False
 
@@ -457,9 +460,7 @@ def _cmd_gradcheck(args, manifest: Manifest) -> int:
 def _bench_task(task) -> None:
     in_path, index, stage = task
     plan = _RUN["plans"][stage]
-    img = load_ppm(Path(in_path).read_bytes())
-    stream = RandomStream(derive_seed(plan.master_seed, index))
-    apply_policy(img, plan, stream, soil_bank=_RUN["bank"])
+    make_views(load_ppm(Path(in_path).read_bytes()), plan, index, _RUN["bank"])
 
 
 def _cmd_bench(args, manifest: Manifest) -> int:

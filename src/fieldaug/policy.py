@@ -140,11 +140,11 @@ def default_policy(master_seed: int = 0) -> Policy:
     return Policy(entries=entries, master_seed=master_seed)
 
 
-@functools.cache
 def _override_defaults(name: str) -> dict:
-    """Each key a policy entry of ``name`` may set, with its default."""
+    """Each key a policy entry of ``name`` may set, with its default; none
+    for an unknown name."""
     defaults = {}
-    for key, (default, _) in PARAMETERS[name].items():
+    for key, (default, _) in PARAMETERS.get(name, {}).items():
         if isinstance(default, tuple):
             defaults[f"{key}_min"], defaults[f"{key}_max"] = default
         else:
@@ -241,19 +241,22 @@ def compile_policy(policy: Policy | Plan) -> Plan:
     )
 
 
-def validate_policy(policy: Policy) -> list[dict]:
-    """Check ``policy``; return each entry's merged parameters."""
+def validate_policy(policy: Policy, lines: dict | None = None) -> list[dict]:
+    """Check ``policy``; return each entry's merged parameters. ``lines``
+    maps ``"seed"``, ``"theta"`` and each entry's index to the line of the
+    text it was loaded from, and an error names that line."""
+    where = {key: f" (line {line_no})" for key, line_no in (lines or {}).items()}
     seen = set()
     merged = []
-    for entry in policy.entries:
+    for index, entry in enumerate(policy.entries):
         if entry.name in seen:
-            raise PolicyError(f"duplicate augmentation {entry.name!r}")
+            raise PolicyError(f"duplicate augmentation {entry.name!r}{where.get(index, '')}")
         seen.add(entry.name)
-        merged.append(_entry_values(entry))
+        merged.append(_entry_values(entry, where.get(index, "")))
     if not math.isfinite(policy.theta):
-        raise PolicyError(f"theta={policy.theta} is not finite")
+        raise PolicyError(f"theta={policy.theta} is not finite{where.get('theta', '')}")
     if not 0 <= policy.master_seed < 2 ** 64:
-        raise PolicyError(f"seed {policy.master_seed} out of u64 range")
+        raise PolicyError(f"seed {policy.master_seed} out of u64 range{where.get('seed', '')}")
     return merged
 
 
@@ -267,30 +270,30 @@ def _keywords(values):
     return {f"{key}_range" if isinstance(v, tuple) else key: v for key, v in values.items()}
 
 
-def _apply_affine(img, rng, values, theta, bank):
+def _apply_affine(img, rng, values, theta, bank, mask):
     h, w = img.shape[:2]
     return augment.apply_affine(img, augment.sample_affine(rng, w, h, **_keywords(values)))
 
 
-def _apply_color_jitter(img, rng, values, theta, bank):
+def _apply_color_jitter(img, rng, values, theta, bank, mask):
     return augment.color_jitter(img, augment.sample_color_jitter(rng, **_keywords(values)))
 
 
-def _apply_gaussian_blur(img, rng, values, theta, bank):
+def _apply_gaussian_blur(img, rng, values, theta, bank, mask):
     sigma = rng.uniform(*values["sigma"])
     return augment.gaussian_blur(img, sigma)
 
 
-def _apply_mixing(img, rng, values, theta, bank):
+def _apply_mixing(img, rng, values, theta, bank, mask):
     return augment.mixing(img, rng)
 
 
-def _apply_random_erasing(img, rng, values, theta, bank):
+def _apply_random_erasing(img, rng, values, theta, bank, mask):
     return augment.random_erasing(img, rng, **_keywords(values))
 
 
-def _apply_background_invariance(img, rng, values, theta, bank, mask=None):
-    return augment.background_invariance(img, bank, rng, theta, mask=mask)
+def _apply_background_invariance(img, rng, values, theta, bank, mask):
+    return augment.background_invariance(img, bank, rng, theta, mask=mask and mask())
 
 
 _APPLIERS = {
@@ -317,8 +320,8 @@ def apply_policy(
     :class:`Policy` is compiled (and so validated) on every call; callers
     that apply one policy many times pass its :class:`Plan`.
     ``source_mask``, when given, returns the refined vegetation mask of
-    ``img``; background invariance uses it when it fires before any other
-    entry has changed the image.
+    ``img``; an entry that fires before any other has changed the image
+    receives it, and background invariance uses it.
     """
     plan = compile_policy(policy)
     if plan.needs_bank and (soil_bank is None or len(soil_bank) == 0):
@@ -329,10 +332,8 @@ def apply_policy(
     for entry in plan.entries:
         gate = stream.next_float64()
         if gate < entry.probability:
-            shared = {}
-            if img is source and source_mask is not None and entry.name == "background_invariance":
-                shared["mask"] = source_mask()
-            img = _APPLIERS[entry.name](img, stream, entry.values, plan.theta, soil_bank, **shared)
+            mask = source_mask if img is source else None
+            img = _APPLIERS[entry.name](img, stream, entry.values, plan.theta, soil_bank, mask)
     return img
 
 
@@ -358,64 +359,53 @@ def make_views(
 # text format
 # ---------------------------------------------------------------------------
 
+# each header key's Policy attribute and parser
+_HEADER = {"seed": ("master_seed", int), "theta": ("theta", float),
+           "soil_bank": ("soil_bank_path", str.strip)}
+
+
 def load_policy(text: str | bytes) -> Policy:
+    """Parse policy text and check it; each error names its line."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     policy = Policy(entries=[])
-    seen = set()
+    lines: dict = {}  # each header key and entry index -> its line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith(("seed=", "theta=", "soil_bank=")):
-            key, _, value = line.partition("=")
-            if key == "seed":
-                try:
-                    seed = int(value)
-                except ValueError:
-                    raise PolicyError(f"invalid seed {value!r} (line {line_no})") from None
-                if not 0 <= seed < 2 ** 64:
-                    raise PolicyError(f"seed out of u64 range (line {line_no})")
-                policy.master_seed = seed
-            elif key == "theta":
-                try:
-                    policy.theta = float(value)
-                except ValueError:
-                    raise PolicyError(f"invalid theta {value!r} (line {line_no})") from None
-                if not math.isfinite(policy.theta):
-                    raise PolicyError(f"theta={value} is not finite (line {line_no})")
-            else:
-                policy.soil_bank_path = value.strip()
+        key, sep, value = line.partition("=")
+        if sep and key in _HEADER:
+            if key in lines:
+                raise PolicyError(f"{key} set twice, first on line {lines[key]} (line {line_no})")
+            lines[key] = line_no
+            attr, parse = _HEADER[key]
+            try:
+                setattr(policy, attr, parse(value))
+            except ValueError:
+                raise PolicyError(f"invalid {key} {value!r} (line {line_no})") from None
             continue
         tokens = line.split()
         if len(tokens) < 2:
             raise PolicyError(f"malformed entry line (line {line_no}): {raw!r}")
-        name = tokens[0]
-        if name not in AUGMENTATION_NAMES:
-            raise PolicyError(f"unknown augmentation {name!r} (line {line_no})")
-        if name in seen:
-            raise PolicyError(f"duplicate augmentation {name!r} (line {line_no})")
-        seen.add(name)
         try:
             probability = float(tokens[1])
         except ValueError:
-            raise PolicyError(
-                f"invalid probability {tokens[1]!r} (line {line_no})"
-            ) from None
+            raise PolicyError(f"invalid probability {tokens[1]!r} (line {line_no})") from None
         params: dict = {}
         for token in tokens[2:]:
             key, sep, value = token.partition("=")
             if not sep:
                 raise PolicyError(f"expected key=value, got {token!r} (line {line_no})")
-            integer = isinstance(_override_defaults(name).get(key), int)
+            integer = isinstance(_override_defaults(tokens[0]).get(key), int)
             try:
                 params[key] = int(value) if integer else float(value)
             except ValueError:
                 kind = "integer" if integer else "number"
                 raise PolicyError(f"invalid {kind} for {key}: {value!r} (line {line_no})") from None
-        entry = PolicyEntry(name=name, probability=probability, params=params)
-        _entry_values(entry, f" (line {line_no})")
-        policy.entries.append(entry)
+        lines[len(policy.entries)] = line_no
+        policy.entries.append(PolicyEntry(tokens[0], probability, params))
+    validate_policy(policy, lines)
     return policy
 
 

@@ -24,6 +24,7 @@ proj1 mean, proj1 std, proj2 mean, proj2 std.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, fields, replace
@@ -390,22 +391,23 @@ def pretrain(dataset, policy: Policy | Plan, cfg: TrainConfig,
         raise ValueError(f"dataset has {n} images, smaller than batch size {cfg.batch_size}")
     model = init_model(cfg.input_size, cfg.embed_dim, seed=derive_seed(cfg.seed, 0))
     trace = []
-    steps_done = 0
-    for epoch in range(cfg.epochs):
-        order = list(range(n))
-        RandomStream(derive_seed(cfg.seed, 1 + epoch)).shuffle(order)
-        for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
-            batch_idx = order[start:start + cfg.batch_size]
-            x1, x2 = view_batches([dataset[i] for i in batch_idx], plan,
-                                  [epoch * n + i for i in batch_idx], cfg.input_size, soil_bank)
-            try:
-                loss, dmean, omean = train_step(model, x1, x2, cfg)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(exc.step, trace) from None
-            trace.append((model.step, loss, dmean, omean))
-            steps_done += 1
-            if cfg.max_steps is not None and steps_done >= cfg.max_steps:
-                return make_checkpoint(model, cfg), trace
+
+    def batches():
+        for epoch in range(cfg.epochs):
+            order = list(range(n))
+            RandomStream(derive_seed(cfg.seed, 1 + epoch)).shuffle(order)
+            for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
+                yield epoch, order[start:start + cfg.batch_size]
+
+    # islice stops before it would shuffle an epoch that runs no step
+    for epoch, batch_idx in itertools.islice(batches(), cfg.max_steps):
+        x1, x2 = view_batches([dataset[i] for i in batch_idx], plan,
+                              [epoch * n + i for i in batch_idx], cfg.input_size, soil_bank)
+        try:
+            loss, dmean, omean = train_step(model, x1, x2, cfg)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(exc.step, trace) from None
+        trace.append((model.step, loss, dmean, omean))
     return make_checkpoint(model, cfg), trace
 
 
@@ -665,8 +667,9 @@ def load_train_config(text: str | bytes) -> TrainConfig:
     number."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    kinds = {f.name: f.type for f in fields(TrainConfig)}
+    kinds = {f.name: f.type for f in fields(TrainConfig)}  # annotation strings
     cfg = TrainConfig()
+    first_line = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -676,13 +679,14 @@ def load_train_config(text: str | bytes) -> TrainConfig:
         value = value.strip()
         if not sep or key not in kinds:
             raise ValueError(f"unknown config line {line_no}: {raw!r}")
+        if key in first_line:
+            raise ValueError(f"{key} set twice, first on line {first_line[key]} (line {line_no})")
+        first_line[key] = line_no
         try:
-            if key in ("learning_rate", "weight_decay", "lam"):
-                setattr(cfg, key, float(value))
-            elif key == "max_steps":
-                cfg.max_steps = None if value in ("", "none") else int(value)
+            if kinds[key] == "int | None" and value in ("", "none"):
+                setattr(cfg, key, None)
             else:
-                setattr(cfg, key, int(value))
+                setattr(cfg, key, float(value) if kinds[key] == "float" else int(value))
         except ValueError:
             raise ValueError(f"invalid value for {key} (line {line_no}): {value!r}") from None
         # the defaults are valid, so a failure here is this line's value

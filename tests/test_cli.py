@@ -327,6 +327,17 @@ class TestGradcheckCommand:
         assert out.count("model-trial") == 1
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 99999999999999999999999])
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, seed):
+        manifest = tmp_path / "manifest.txt"
+        code = cli.main(["gradcheck", "--trials", "1", "--seed", str(seed),
+                         "--manifest", str(manifest)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed: seed must be in [0, 2**64), got {seed}\n"
+        assert "status=error" in manifest.read_text().splitlines()
+
 
 class TestPretrainCommand:
     def test_synthetic_run_writes_artifacts(self, tmp_path):
@@ -602,6 +613,20 @@ class TestBenchCommand:
         manifest = (workspace / "bench.manifest.txt").read_text()
         assert "images_per_second.end_to_end=" in manifest
         assert "images_per_second.gaussian_blur=" in manifest
+
+    def test_times_both_views_of_each_image(self, workspace, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "make_views",
+                            lambda img, plan, index, bank: calls.append(index)
+                            or make_views(img, plan, index, bank))
+        assert cli.main([
+            "bench", "--input", str(workspace / "in"),
+            "--policy", str(workspace / "policy.txt"), "--repeat", "2",
+            "--manifest", str(workspace / "bench.manifest.txt"),
+        ]) == 0
+        images = len(list((workspace / "in").glob("*.ppm")))
+        stages = len(load_policy((workspace / "policy.txt").read_text()).entries) + 1
+        assert sorted(calls) == sorted(list(range(images)) * 2 * stages)
 
     def test_corrupt_input_is_usage_error_before_any_timing(self, workspace, capsys):
         bad = workspace / "in" / "bad.ppm"

@@ -215,6 +215,15 @@ class TestPolicyText:
         assert "gaussian_blur 0.900" in text
         assert "background_invariance 0.800" in text
 
+    @pytest.mark.parametrize("first, second", [
+        ("seed=5", "seed=6"), ("theta=0.0", "theta=0.5"), ("soil_bank=a", "soil_bank=b"),
+    ])
+    def test_repeated_header_line_named(self, first, second):
+        key = first.partition("=")[0]
+        with pytest.raises(PolicyError) as info:
+            load_policy(f"{first}\nmixing 1.0\n{second}\n")
+        assert str(info.value) == f"{key} set twice, first on line 1 (line 3)"
+
     def test_bytes_input(self):
         pol = load_policy(b"mixing 1.0\n")
         assert pol.entries[0].name == "mixing"
@@ -416,6 +425,29 @@ class TestParameterTable:
         pol = Policy([PolicyEntry("random_erasing", 1.0, {"max_rects": 2.5})])
         with pytest.raises(PolicyError, match="max_rects=2.5 is not an integer"):
             P.compile_policy(pol)
+
+
+class TestRuleParity:
+    """A policy file and the same Policy built in code break each rule with
+    one message; the file's names the line."""
+
+    @pytest.mark.parametrize("text, policy, line", [
+        ("sharpen 0.5", Policy([PolicyEntry("sharpen", 0.5)]), 2),
+        ("mixing 1.5", Policy([PolicyEntry("mixing", 1.5)]), 2),
+        ("mixing 0.5\nmixing 0.7",
+         Policy([PolicyEntry("mixing", 0.5), PolicyEntry("mixing", 0.7)]), 3),
+        ("gaussian_blur 1.0 radius=3", Policy([PolicyEntry("gaussian_blur", 1.0, {"radius": 3.0})]), 2),
+        ("affine 1.0 scale_min=3", Policy([PolicyEntry("affine", 1.0, {"scale_min": 3.0})]), 2),
+        ("theta=nan", Policy([], theta=float("nan")), 2),
+        (f"seed={2 ** 64}", Policy([], master_seed=2 ** 64), 2),
+    ], ids=["unknown-name", "probability", "duplicate", "unknown-key", "range-order",
+            "theta", "seed"])
+    def test_text_error_is_object_error_with_line(self, text, policy, line):
+        with pytest.raises(PolicyError) as from_object:
+            P.compile_policy(policy)
+        with pytest.raises(PolicyError) as from_text:
+            load_policy(f"# header\n{text}\n")
+        assert str(from_text.value) == f"{from_object.value} (line {line})"
 
 
 class TestRebinding:

@@ -491,6 +491,11 @@ class TestTrainConfigText:
         with pytest.raises(ValueError, match="line 1"):
             tt.load_train_config("momentum=0.9\n")
 
+    def test_repeated_key_names_second_line(self):
+        with pytest.raises(ValueError) as info:
+            tt.load_train_config("epochs=2\n# again\nepochs=3\n")
+        assert str(info.value) == "epochs set twice, first on line 1 (line 3)"
+
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             tt.load_train_config("epochs=three\n")
