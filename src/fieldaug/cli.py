@@ -33,7 +33,6 @@ from .policy import (
     Plan,
     Policy,
     PolicyEntry,
-    PolicyError,
     compile_policy,
     load_policy,
     make_views,
@@ -50,6 +49,15 @@ MODEL_GRAD_TOL = 1e-3
 
 class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
+
+
+@contextlib.contextmanager
+def _usage(prefix: str = ""):
+    """Re-raise a ``ValueError`` from the block as a ``UsageError`` after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(prefix + str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +112,8 @@ def _load(path: Path, decode, what: str):
     naming the path."""
     if not path.is_file():
         raise UsageError(f"{what} not found: {path}")
-    try:
+    with _usage(f"{path}: "):
         return decode(path.read_bytes())
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
 
 
 def _load_run_policy(policy_path: Path, seed_override: int | None) -> tuple[Policy, Plan]:
@@ -116,10 +122,8 @@ def _load_run_policy(policy_path: Path, seed_override: int | None) -> tuple[Poli
     pol = _load(policy_path, load_policy, "policy file")
     if seed_override is not None:
         pol.master_seed = seed_override
-    try:
+    with _usage("--seed: "):
         return pol, compile_policy(pol)
-    except PolicyError as exc:
-        raise UsageError(f"--seed: {exc}") from exc
 
 
 def _soil_bank(policy_path: Path, pol: Policy, needed: bool,
@@ -366,10 +370,8 @@ def _cmd_pretrain(args, manifest: Manifest) -> int:
         cfg = _load(Path(args.config), tinytrain.load_train_config, "config file")
     if args.seed is not None:
         cfg.seed = args.seed
-        try:
+        with _usage("--seed: "):
             cfg.validate()
-        except ValueError as exc:
-            raise UsageError(f"--seed: {exc}") from exc
 
     policy_path = Path(args.policy)
     pol, plan = _load_run_policy(policy_path, None)
@@ -413,10 +415,8 @@ def _cmd_pretrain(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_gradcheck(args, manifest: Manifest) -> int:
-    try:
+    with _usage("--seed: "):
         tinytrain.TrainConfig(seed=args.seed).validate()  # a training seed's rule
-    except ValueError as exc:
-        raise UsageError(f"--seed: {exc}") from exc
     rng = RandomStream(args.seed)
     failed = False
 
@@ -545,11 +545,9 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
         input_size=args.input_size,
         max_steps=args.steps,
     )
-    try:
+    with _usage():
         cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.names:
+    if args.names is not None:
         sweep_names = tuple(n.strip() for n in args.names.split(","))
         for i, n in enumerate(sweep_names):
             if n not in AUGMENTATION_NAMES:
@@ -645,10 +643,8 @@ def _cmd_eval(args, manifest: Manifest) -> int:
         for name in _paired_names(pred_dir, gt_dir, "*.pgm"):
             pred = _load(pred_dir / name, metrics.load_label_map, "label map")
             gt = _load(gt_dir / name, metrics.load_label_map, "label map")
-            try:
+            with _usage(f"{pred_dir / name}: "):  # the shapes differ
                 total += metrics.confusion_matrix(pred, gt)
-            except ValueError as exc:  # the shapes differ
-                raise UsageError(f"{pred_dir / name}: {exc}") from exc
         ious = metrics.per_class_iou(total)
         values = [("miou", metrics.miou(total))]
         values += [
@@ -674,17 +670,13 @@ def _cmd_eval(args, manifest: Manifest) -> int:
         pairs = [(pred_dir, gt_dir)]
     aps, ars, dics = [], [], []
     for pred_set_dir, gt_set_dir in pairs:
-        try:
+        with _usage():
             pred_masks, pred_scores = metrics.load_instance_set(pred_set_dir)
             gt_masks, _ = metrics.load_instance_set(gt_set_dir)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        try:
+        with _usage(f"{pred_set_dir}: "):  # the sets' mask shapes differ
             ap, ar = metrics.instance_ap_ar(
                 pred_masks, gt_masks, pred_scores, iou_threshold=args.iou_threshold
             )
-        except ValueError as exc:  # the sets' mask shapes differ
-            raise UsageError(f"{pred_set_dir}: {exc}") from exc
         aps.append(ap)
         ars.append(ar)
         dics.append(metrics.abs_dic(len(pred_masks), len(gt_masks)))

@@ -1,4 +1,4 @@
-"""Image containers, netpbm codecs, resampling, and normalization.
+"""Image containers, netpbm codecs, text-file lines, resampling, and normalization.
 
 Images are plain numpy arrays:
 
@@ -150,6 +150,34 @@ def save_pgm(gray: np.ndarray) -> bytes:
         raise ValueError(f"expected (H, W) uint8 array, got {gray.dtype} {gray.shape}")
     h, w = gray.shape
     return b"P5\n%d %d\n255\n" % (w, h) + gray.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# line-based text files (policies, training configs, scores.txt)
+# ---------------------------------------------------------------------------
+
+def _text_lines(text: str | bytes, error=ValueError):
+    """Yield (line number, stripped line) for each line of ``text`` that is
+    neither blank nor a ``#`` comment, numbered as ``str.splitlines``
+    numbers them. Bytes must be UTF-8; else ``error`` names the line."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = text[:exc.start].decode("utf-8") + "."
+            raise error(f"not UTF-8 (line {len(before.splitlines())})") from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+def _first_line(lines: dict, key, line_no: int, error=ValueError) -> None:
+    """Record that ``key`` is set on ``line_no``; a key that ``lines``
+    already holds raises ``error`` naming both lines."""
+    if key in lines:
+        raise error(f"{key} set twice, first on line {lines[key]} (line {line_no})")
+    lines[key] = line_no
 
 
 # ---------------------------------------------------------------------------

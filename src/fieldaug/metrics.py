@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imagecore import load_pgm, save_pgm
+from .imagecore import _first_line, _text_lines, load_pgm, save_pgm
 from .vegmask import mask_from_pgm, mask_to_pgm
 
 __all__ = [
@@ -237,7 +237,7 @@ def load_instance_set(directory) -> tuple[list[np.ndarray], list[float] | None]:
     """Read ``*.pgm`` masks in sorted filename order; values > 127 are
     foreground, and an unreadable mask raises ``ValueError`` naming it, as
     masks of different shapes do the directory. If ``scores.txt`` exists it
-    must score every mask within [0, 1], or the error names it."""
+    must score every mask once within [0, 1], or the error names it."""
     directory = Path(directory)
     mask_paths = sorted(directory.glob("*.pgm"))
     masks = []
@@ -252,23 +252,22 @@ def load_instance_set(directory) -> tuple[list[np.ndarray], list[float] | None]:
     if not scores_path.exists():
         return masks, None
     table: dict[str, float] = {}
-    for line_no, raw in enumerate(scores_path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.rpartition(" ")
-        try:
-            table[name.strip()] = float(value)
-        except ValueError:
-            raise ValueError(f"bad score line {line_no} in {scores_path}: {raw!r}") from None
-    scores = []
-    for p in mask_paths:
-        if p.name not in table:
-            raise ValueError(f"{scores_path} has no score for {p.name}")
-        scores.append(table[p.name])
+    lines: dict = {}  # each mask name -> its line
     try:
-        _check_instances(masks, scores)
-    except ValueError as exc:  # a score out of range
+        for line_no, line in _text_lines(scores_path.read_bytes()):
+            name, _, value = line.rpartition(" ")
+            name = name.strip()
+            _first_line(lines, name, line_no)
+            try:
+                table[name] = float(value)
+            except ValueError:
+                raise ValueError(f"bad score line {line_no}: {line!r}") from None
+        unscored = [p.name for p in mask_paths if p.name not in table]
+        if unscored:
+            raise ValueError(f"no score for {unscored[0]}")
+        scores = [table[p.name] for p in mask_paths]
+        _check_instances(masks, scores)  # each score in [0, 1]
+    except ValueError as exc:
         raise ValueError(f"{scores_path}: {exc}") from None
     return masks, scores
 

@@ -36,6 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import augment
+from .imagecore import _first_line, _text_lines
 from .rng import RandomStream, derive_seed
 from .vegmask import DEFAULT_THETA
 
@@ -361,24 +362,18 @@ def make_views(
 
 # each header key's Policy attribute and parser
 _HEADER = {"seed": ("master_seed", int), "theta": ("theta", float),
-           "soil_bank": ("soil_bank_path", str.strip)}
+           "soil_bank": ("soil_bank_path", str)}
 
 
 def load_policy(text: str | bytes) -> Policy:
     """Parse policy text and check it; each error names its line."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     policy = Policy(entries=[])
     lines: dict = {}  # each header key and entry index -> its line
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _text_lines(text, PolicyError):
         key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
         if sep and key in _HEADER:
-            if key in lines:
-                raise PolicyError(f"{key} set twice, first on line {lines[key]} (line {line_no})")
-            lines[key] = line_no
+            _first_line(lines, key, line_no, PolicyError)
             attr, parse = _HEADER[key]
             try:
                 setattr(policy, attr, parse(value))
@@ -387,7 +382,7 @@ def load_policy(text: str | bytes) -> Policy:
             continue
         tokens = line.split()
         if len(tokens) < 2:
-            raise PolicyError(f"malformed entry line (line {line_no}): {raw!r}")
+            raise PolicyError(f"malformed entry line (line {line_no}): {line!r}")
         try:
             probability = float(tokens[1])
         except ValueError:

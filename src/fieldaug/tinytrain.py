@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import twins
-from .imagecore import bilinear_resize, ensure_u8
+from .imagecore import _first_line, _text_lines, bilinear_resize, ensure_u8
 from .policy import Plan, Policy, compile_policy, make_views
 from .augment import SoilBank
 from .rng import RandomStream, below_many_many, derive_seed, streams_per_pass
@@ -421,8 +421,7 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    input_size: int
-    embed_dim: int
+    """A model's state and its training config, which holds its dims."""
     step: int
     config: TrainConfig
     params: np.ndarray
@@ -431,17 +430,15 @@ class Checkpoint:
 
 def make_checkpoint(model: TinyModel, cfg: TrainConfig) -> Checkpoint:
     return Checkpoint(
-        input_size=model.input_size,
-        embed_dim=model.embed_dim,
         step=model.step,
-        config=replace(cfg),
+        config=replace(cfg, input_size=model.input_size, embed_dim=model.embed_dim),
         params=model.params.copy(),
         buffers=model.buffers(),
     )
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> TinyModel:
-    model = TinyModel(ckpt.input_size, ckpt.embed_dim, params=ckpt.params.copy())
+    model = TinyModel(ckpt.config.input_size, ckpt.config.embed_dim, params=ckpt.params.copy())
     model.set_buffers(ckpt.buffers)
     model.step = ckpt.step
     return model
@@ -456,7 +453,7 @@ def save_checkpoint(ckpt: Checkpoint) -> bytes:
     cfg = ckpt.config
     head = struct.pack(
         "<4sI5IQ", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-        ckpt.input_size, ckpt.embed_dim, ENC_HIDDEN, ENC_OUT, PROJ_HIDDEN,
+        cfg.input_size, cfg.embed_dim, ENC_HIDDEN, ENC_OUT, PROJ_HIDDEN,
         ckpt.step,
     )
     cfg_blob = struct.pack(
@@ -521,10 +518,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     except ValueError as exc:
         raise CheckpointError(f"invalid buffers: {exc}") from None
 
-    return Checkpoint(
-        input_size=input_size, embed_dim=embed_dim, step=step,
-        config=cfg, params=params, buffers=buffers,
-    )
+    return Checkpoint(step=step, config=cfg, params=params, buffers=buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -665,23 +659,15 @@ def make_synthetic_corpus(count: int, size: int = 16, seed: int = 0) -> list[np.
 def load_train_config(text: str | bytes) -> TrainConfig:
     """key=value lines, '#' comments; unknown keys rejected with the line
     number."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     kinds = {f.name: f.type for f in fields(TrainConfig)}  # annotation strings
     cfg = TrainConfig()
     first_line = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _text_lines(text):
         key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if not sep or key not in kinds:
-            raise ValueError(f"unknown config line {line_no}: {raw!r}")
-        if key in first_line:
-            raise ValueError(f"{key} set twice, first on line {first_line[key]} (line {line_no})")
-        first_line[key] = line_no
+            raise ValueError(f"unknown config line {line_no}: {line!r}")
+        _first_line(first_line, key, line_no)
         try:
             if kinds[key] == "int | None" and value in ("", "none"):
                 setattr(cfg, key, None)

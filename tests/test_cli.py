@@ -827,6 +827,17 @@ class TestOrderSweepCommand:
         # the three 24 px images of the named bank, not 32 synthetic ones
         assert banks == [[(24, 24, 3)] * 3]
 
+    def test_empty_names_is_usage_error(self, tmp_path, capsys):
+        policy = tmp_path / "policy.txt"
+        policy.write_text("gaussian_blur 0.9\nmixing 0.9\n")
+        code = cli.main([
+            "order-sweep", "--full", "--names", "", "--policy", str(policy),
+            "--synthetic", "8", "--out-dir", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown augmentation '' in --names\n"
+        assert not (tmp_path / "sweep" / "cells.csv").exists()
+
     def test_requires_exactly_one_mode(self, tmp_path):
         policy = tmp_path / "policy.txt"
         policy.write_text("gaussian_blur 0.9\n")
@@ -951,6 +962,21 @@ class TestEvalCommand:
         scores.write_text("instance_0000.pgm 1.5\n")
         assert cli.main(self._instance_argv(tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {scores}: score 1.5 out of [0, 1]\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (b"instance_0000.pgm 0.5\n# again\ninstance_0000.pgm  0.7\n",
+         "instance_0000.pgm set twice, first on line 1 (line 3)"),
+        (b"instance_0000.pgm 0.5\n\ninstance_0001.pgm \xff\n", "not UTF-8 (line 3)"),
+        (b"instance_0000.pgm high\n", "bad score line 1: 'instance_0000.pgm high'"),
+    ])
+    def test_bad_scores_file_is_usage_error_naming_it_and_the_line(self, tmp_path, capsys,
+                                                                     text, message):
+        mx.save_instance_set(tmp_path / "pred", [np.eye(4, dtype=bool)])
+        mx.save_instance_set(tmp_path / "gt", [np.eye(4, dtype=bool)])
+        scores = tmp_path / "pred" / "scores.txt"
+        scores.write_bytes(text)
+        assert cli.main(self._instance_argv(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {scores}: {message}\n"
 
 
 class TestManifestOnFailure:

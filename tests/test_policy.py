@@ -224,9 +224,18 @@ class TestPolicyText:
             load_policy(f"{first}\nmixing 1.0\n{second}\n")
         assert str(info.value) == f"{key} set twice, first on line 1 (line 3)"
 
+    def test_spaces_around_header_equals_sign(self):
+        pol = load_policy("seed = 42\ntheta =0.5\nsoil_bank= banks/soil\nmixing 1.0\n")
+        assert (pol.master_seed, pol.theta, pol.soil_bank_path) == (42, 0.5, "banks/soil")
+
     def test_bytes_input(self):
         pol = load_policy(b"mixing 1.0\n")
         assert pol.entries[0].name == "mixing"
+
+    def test_byte_that_is_not_utf8_is_policy_error_naming_its_line(self):
+        with pytest.raises(PolicyError) as info:
+            load_policy(b"seed=1\r\n# \xc3\xa9t\xc3\xa9\n\xff\n")
+        assert str(info.value) == "not UTF-8 (line 3)"
 
     def test_param_overrides_shape_sampling(self, plant_image):
         pol = load_policy("gaussian_blur 1.0 sigma_min=1.9 sigma_max=2.0\n")
@@ -408,6 +417,13 @@ class TestParameterTable:
             table[name][key] = (default if len(default) == 2 else default[0],
                                 {s: ast.literal_eval(v) for s, v in bounds.items()})
         assert table == P.PARAMETERS
+
+    def test_readme_policy_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Policy files"):readme.index("## CLI")]
+        pol = load_policy(section.split("```")[1])
+        assert pol.soil_bank_path == "banks/soil"
+        assert (pol.master_seed, len(pol.entries)) == (42, 6)
 
     def test_integer_key_is_cast_when_the_policy_compiles(self, random_image):
         as_float = Policy([PolicyEntry("random_erasing", 1.0, {"max_rects": 2.0})])

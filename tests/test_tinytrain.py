@@ -332,6 +332,14 @@ class TestCheckpointCodec:
         assert back.step == 41
         assert back.config == cfg
 
+    def test_config_takes_the_model_dims_and_round_trips(self):
+        ckpt = tt.make_checkpoint(tt.init_model(6, 4), tt.TrainConfig())
+        assert (ckpt.config.input_size, ckpt.config.embed_dim) == (6, 4)
+        back = tt.load_checkpoint(tt.save_checkpoint(ckpt))
+        assert back.config == ckpt.config
+        model = tt.model_from_checkpoint(back)
+        assert (model.input_size, model.embed_dim) == (6, 4)
+
     def test_truncated_rejected(self):
         blob = tt.save_checkpoint(tt.make_checkpoint(small_model(), tt.TrainConfig(input_size=4, embed_dim=4)))
         with pytest.raises(tt.CheckpointError, match="truncated"):
@@ -490,6 +498,15 @@ class TestTrainConfigText:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             tt.load_train_config("momentum=0.9\n")
+
+    def test_spaces_comments_and_blank_lines(self):
+        cfg = tt.load_train_config(b"  # desk run\n\n epochs = 3 \r\n\tlam=0.5\n")
+        assert (cfg.epochs, cfg.lam) == (3, 0.5)
+
+    def test_byte_that_is_not_utf8_names_its_line(self):
+        with pytest.raises(ValueError) as info:
+            tt.load_train_config(b"epochs=2\nseed=\x80\n")
+        assert str(info.value) == "not UTF-8 (line 2)"
 
     def test_repeated_key_names_second_line(self):
         with pytest.raises(ValueError) as info:
