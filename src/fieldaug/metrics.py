@@ -236,8 +236,8 @@ def load_label_map(data: bytes) -> np.ndarray:
 def load_instance_set(directory) -> tuple[list[np.ndarray], list[float] | None]:
     """Read ``*.pgm`` masks in sorted filename order; values > 127 are
     foreground, and an unreadable mask raises ``ValueError`` naming it, as
-    masks of different shapes do the directory. If ``scores.txt`` exists it
-    must score every mask once within [0, 1], or the error names it."""
+    masks of different shapes do the directory. A ``scores.txt`` must score
+    every mask once within [0, 1], and nothing else, or the error names it."""
     directory = Path(directory)
     mask_paths = sorted(directory.glob("*.pgm"))
     masks = []
@@ -251,21 +251,22 @@ def load_instance_set(directory) -> tuple[list[np.ndarray], list[float] | None]:
     scores_path = directory / "scores.txt"
     if not scores_path.exists():
         return masks, None
-    table: dict[str, float] = {}
+    table = dict.fromkeys(p.name for p in mask_paths)  # each mask name -> its score
     lines: dict = {}  # each mask name -> its line
     try:
         for line_no, line in _text_lines(scores_path.read_bytes()):
             name, _, value = line.rpartition(" ")
             name = name.strip()
+            if name not in table:
+                raise ValueError(f"score line {line_no} names no mask: {line!r}")
             _first_line(lines, name, line_no)
             try:
                 table[name] = float(value)
             except ValueError:
                 raise ValueError(f"bad score line {line_no}: {line!r}") from None
-        unscored = [p.name for p in mask_paths if p.name not in table]
-        if unscored:
-            raise ValueError(f"no score for {unscored[0]}")
-        scores = [table[p.name] for p in mask_paths]
+        scores = list(table.values())
+        if None in scores:
+            raise ValueError(f"no score for {mask_paths[scores.index(None)].name}")
         _check_instances(masks, scores)  # each score in [0, 1]
     except ValueError as exc:
         raise ValueError(f"{scores_path}: {exc}") from None

@@ -338,22 +338,25 @@ def apply_policy(
     return img
 
 
+def _view_streams(master_seed: int, indices) -> list[RandomStream]:
+    """View k of image i draws from derive(master_seed, 2 * i + k)."""
+    return [RandomStream(derive_seed(master_seed, 2 * i + k)) for i in indices for k in (0, 1)]
+
+
 def make_views(
     img: np.ndarray,
     policy: Policy | Plan,
     image_index: int,
     soil_bank: augment.SoilBank | None = None,
+    streams: list[RandomStream] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Produce the two views for one image. View k uses the stream seeded
-    with derive(master_seed, 2 * image_index + k). Both views share one
-    refined vegetation mask of ``img``, computed when first needed."""
+    """Produce the two views for one image. View k draws from ``streams[k]``
+    or else from the stream seeded with derive(master_seed, 2 * image_index + k).
+    Both views share one refined vegetation mask of ``img``, computed when first needed."""
     plan = compile_policy(policy)
     source_mask = functools.cache(lambda: augment.refined_vegetation_mask(img, plan.theta))
-    views = []
-    for k in (0, 1):
-        stream = RandomStream(derive_seed(plan.master_seed, 2 * image_index + k))
-        views.append(apply_policy(img, plan, stream, soil_bank=soil_bank, source_mask=source_mask))
-    return views[0], views[1]
+    return tuple(apply_policy(img, plan, stream, soil_bank=soil_bank, source_mask=source_mask)
+                 for stream in streams or _view_streams(plan.master_seed, [image_index]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ A stream set shares one lane pass among many streams: row i of
 ``u64s_many(streams, n)`` (and of ``below_many_many``) equals
 ``streams[i].u64s(n)``, and each stream ends where that call would leave
 it. The 512 streams of a 16 px synthetic corpus draw their noise in 13
-passes of 42 streams, where they made 512 passes of one.
+passes of 42 streams, where they made 512 passes of one. ``prefetch``
+keeps the rows as the streams' read-ahead instead: the 128 view streams of
+a 16 px desk pretraining step read every draw from 2 passes, not scalar loops.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 __all__ = [
     "MASK64", "GOLDEN_GAMMA", "splitmix64", "derive_seed", "RandomStream",
-    "streams_per_pass", "u64s_many", "below_many_many",
+    "streams_per_pass", "u64s_many", "below_many_many", "prefetch",
 ]
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -383,6 +385,15 @@ def u64s_many(streams: list[RandomStream], n: int) -> np.ndarray:
     if drawn is not out:
         out[shared] = drawn
     return out
+
+
+def prefetch(streams: list[RandomStream], n: int) -> None:
+    """Keep each row of ``u64s_many(streams, n)`` as its stream's read-ahead."""
+    if any(s._ahead is not None for s in streams):
+        raise ValueError("streams must hold no read-ahead values")
+    rows = u64s_many(streams, n)
+    for stream, row in zip(streams, rows if n else ()):
+        stream._ahead, stream._read = row, 0
 
 
 def _lane_passes(streams: list, out: np.ndarray) -> None:

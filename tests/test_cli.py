@@ -968,6 +968,10 @@ class TestEvalCommand:
          "instance_0000.pgm set twice, first on line 1 (line 3)"),
         (b"instance_0000.pgm 0.5\n\ninstance_0001.pgm \xff\n", "not UTF-8 (line 3)"),
         (b"instance_0000.pgm high\n", "bad score line 1: 'instance_0000.pgm high'"),
+        # lines that name no mask of the set: no name at all, and a missing file
+        (b"instance_0000.pgm 0.5\n0.7\n", "score line 2 names no mask: '0.7'"),
+        (b"instance_0000.pgm 0.5\nnot-a-mask.pgm 0.9\n",
+         "score line 2 names no mask: 'not-a-mask.pgm 0.9'"),
     ])
     def test_bad_scores_file_is_usage_error_naming_it_and_the_line(self, tmp_path, capsys,
                                                                      text, message):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -205,6 +207,52 @@ def test_one_lane_pass_per_128px_view(monkeypatch):
     assert len(passes) <= 1.25 * 2 * len(corpus)
 
 
+def _count_draw_paths(monkeypatch):
+    """Counts of scalar-loop calls and lane passes from here on."""
+    counts = {"scalar": 0, "passes": 0}
+    s1_words, lane_pass = RandomStream._s1_words, rng._lane_pass
+
+    def scalar(stream, n):
+        counts["scalar"] += 1
+        return s1_words(stream, n)
+
+    def passes(*args):
+        counts["passes"] += 1
+        return lane_pass(*args)
+
+    monkeypatch.setattr(RandomStream, "_s1_words", scalar)
+    monkeypatch.setattr(rng, "_lane_pass", passes)
+    return counts
+
+
+def test_desk_view_batch_reads_every_draw_from_its_prefetch(monkeypatch):
+    # the first step of the benchmark's desk pretrain call (seed 0): its 128
+    # view streams draw from 2 lane passes and never run the scalar loop
+    corpus = tinytrain.make_synthetic_corpus(512, 16, seed=derive_seed(0, 1))
+    bank = augment.build_soil_bank(tinytrain.make_synthetic_soil(24, 16, seed=derive_seed(0, 2)))
+    desk = Path(__file__).resolve().parents[1] / "perfbench" / "desk.policy"
+    pol = policy.load_policy(desk.read_text())
+    pol.master_seed = derive_seed(0, 3)
+    batch = list(range(512))
+    RandomStream(derive_seed(0, 1)).shuffle(batch)
+    batch = batch[:64]
+    counts = _count_draw_paths(monkeypatch)
+    tinytrain.view_batches([corpus[i] for i in batch], pol, batch, 16, bank)
+    assert counts == {"scalar": 0, "passes": 2}
+
+
+@pytest.mark.parametrize("entries", [[], [("gaussian_blur", 1.0), ("affine", 1.0)],
+                                     [("mixing", 0.0), ("random_erasing", 0.0)]],
+                         ids=["empty", "no-pixel-draws", "never-fires"])
+def test_no_prefetch_for_plans_without_pixel_draws(monkeypatch, entries):
+    # a plan whose views draw a few values each does not pay for a lane pass
+    pol = policy.Policy([policy.PolicyEntry(name, p) for name, p in entries], master_seed=4)
+    images = tinytrain.make_synthetic_corpus(8, 16, seed=1)
+    counts = _count_draw_paths(monkeypatch)
+    tinytrain.view_batches(images, pol, range(8), 16)
+    assert counts["passes"] == 0
+
+
 # (count, n): one stream's u64s(n) where count is None, else u64s_many of count streams
 PLANNED_DRAWS = [(None, n) for n in (rng.CROSSOVER, 2000, 16384, rng.MAX_PASS + 1, 49152)]
 PLANNED_DRAWS += [(count, n) for count in (1, 3, 42) for n in (5, 773, rng.MAX_PASS + 33)]
@@ -302,3 +350,54 @@ def test_stream_set_validation():
         rng.below_many_many([s, t], 2, [4, 0])
     # a rejected call moves no stream
     assert s.next_u64() == RandomStream(1).next_u64()
+
+
+PREFETCH_SIZES = [0, 1, rng.SET_STEPS - 1, rng.SET_STEPS, tinytrain.VIEW_PREFETCH]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, MASK64),
+       n=st.one_of(st.sampled_from(PREFETCH_SIZES), st.integers(0, 2 * tinytrain.VIEW_PREFETCH)),
+       count=st.integers(1, 3), skip=st.integers(0, 3 * rng.BLOCK),
+       calls=st.lists(st.tuples(st.sampled_from(sorted(INTERLEAVED)), DRAW_SIZES), max_size=6))
+# calls that end inside, at and past the end of the prefetched draws
+@example(seed=1, n=tinytrain.VIEW_PREFETCH, count=3, skip=5,
+         calls=[("next_u64", 0), ("bytes", 300), ("u64s", 83), ("uniform", 0), ("bytes", 50)])
+@example(seed=1, n=tinytrain.VIEW_PREFETCH, count=2, skip=0,
+         calls=[("bytes", 380), ("u64s", 10), ("next_below", 3)])
+@example(seed=6, n=tinytrain.VIEW_PREFETCH, count=2, skip=3,
+         calls=[("u64s", 10), ("u64s", rng.READ_AHEAD + 374), ("bytes", 10)])
+@example(seed=2, n=rng.SET_STEPS - 1, count=2, skip=0,
+         calls=[("shuffle", 20), ("below_many", rng.CROSSOVER), ("next_below", 6)])
+@example(seed=3, n=rng.SET_STEPS, count=1, skip=1,
+         calls=[("uniforms", 7), ("u64s", rng.READ_AHEAD), ("bytes", 100), ("u64s", rng.CROSSOVER)])
+@example(seed=4, n=1, count=2, skip=0, calls=[("below_many_per_draw", rng.READ_AHEAD + 1)])
+@example(seed=5, n=0, count=3, skip=2, calls=[("next_float64", 0), ("u64s", rng.CROSSOVER - 1)])
+def test_prefetched_streams_equal_scalar_calls(seed, n, count, skip, calls):
+    # each stream of the set, at its own position, against a scalar twin
+    a = [RandomStream(derive_seed(seed, i)) for i in range(count)]
+    b = [RandomStream(derive_seed(seed, i)) for i in range(count)]
+    for i, (x, y) in enumerate(zip(a, b)):
+        assert x.u64s(skip + i).tolist() == [y.next_u64() for _ in range(skip + i)]
+    rng.prefetch(a, n)
+    for x, y in zip(a, b):
+        for name, size in calls:
+            call, scalar_calls = INTERLEAVED[name]
+            assert call(x, size) == scalar_calls(y, size), name
+        assert x.next_u64() == y.next_u64()
+
+
+def test_prefetch_validation():
+    s, t = RandomStream(1), RandomStream(2)
+    held = RandomStream(3)
+    held.u64s(rng.READ_AHEAD)  # keeps READ_AHEAD values read ahead
+    ahead = held._ahead
+    for streams, n in (([s, t, s], 4), ([s, held, t], 4), ([s, t], -1)):
+        with pytest.raises(ValueError):
+            rng.prefetch(streams, n)
+    # a rejected call moves no stream and reads none ahead
+    assert s._ahead is None and t._ahead is None and held._ahead is ahead
+    assert (s.next_u64(), t.next_u64()) == (RandomStream(1).next_u64(), RandomStream(2).next_u64())
+    twin = RandomStream(3)
+    twin.u64s(rng.READ_AHEAD)
+    assert held.u64s(rng.READ_AHEAD + 1).tolist() == twin.u64s(rng.READ_AHEAD + 1).tolist()

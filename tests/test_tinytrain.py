@@ -277,6 +277,15 @@ class TestPretrain:
         assert len(trace) == 6  # 6 steps of 4 images, 48 views
         assert checks == ["policy"]
 
+    def test_policy_validated_once_per_view_batch(self, monkeypatch):
+        checks = []
+        validate_policy = P.validate_policy
+        monkeypatch.setattr(P, "validate_policy",
+                            lambda pol: checks.append("policy") or validate_policy(pol))
+        images = tt.make_synthetic_corpus(5, size=8, seed=1)
+        tt.view_batches(images, tiny_policy(3), range(5), 8)
+        assert checks == ["policy"]
+
     def test_bit_reproducible(self):
         corpus = tt.make_synthetic_corpus(8, size=8, seed=2)
         cfg = tt.TrainConfig(batch_size=4, input_size=8, embed_dim=4,
