@@ -11,6 +11,7 @@ Coordinate convention matches :mod:`fieldaug.imagecore`: u is the column
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -218,7 +219,7 @@ def _rotate_hue(x: np.ndarray, hue: float) -> np.ndarray:
     candidates[3:] = x
     # hp is in [0, 6]; an inactive pixel reads column 7 of the table
     column = np.floor(hp).astype(np.intp)
-    np.copyto(column, 7, where=~active)
+    column[~active] = 7
     flat = (_HUE_SOURCES * r.size).take(column, axis=1)
     flat += np.arange(r.size).reshape(r.shape)
     return candidates.take(flat)
@@ -234,8 +235,11 @@ def color_jitter(img: np.ndarray, p: ColorJitterParams) -> np.ndarray:
     x = img.astype(np.float64)
     x *= p.brightness
 
-    mean_luma = float((x @ _LUMA).mean())
-    x = mean_luma + (x - mean_luma) * p.contrast
+    luma = x @ _LUMA
+    mean_luma = float(np.add.reduce(luma, axis=None) / luma.size)
+    x -= mean_luma
+    x *= p.contrast
+    x += mean_luma
 
     # saturation and hue work on channel planes
     luma = x @ _LUMA
@@ -251,15 +255,23 @@ def color_jitter(img: np.ndarray, p: ColorJitterParams) -> np.ndarray:
 # gaussian blur
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _edge_index(r: int, n: int) -> np.ndarray:
+    """Positions -r .. n + r - 1 of an axis of length n, clamped to its edges."""
+    index = np.minimum(np.maximum(np.arange(-r, n + r), 0), n - 1)
+    index.flags.writeable = False
+    return index
+
+
 def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     r = (len(taps) - 1) // 2
     n = x.shape[axis]
-    padded = x.take(np.clip(np.arange(-r, n + r), 0, n - 1), axis=axis)
+    padded = x.take(_edge_index(r, n), axis=axis)
     out = np.zeros(x.shape, dtype=np.float64)
+    product = np.empty(x.shape, dtype=np.float64)
+    lead = (slice(None),) * axis
     for i, weight in enumerate(taps):
-        sl = [slice(None)] * x.ndim
-        sl[axis] = slice(i, i + n)
-        out += weight * padded[tuple(sl)]
+        out += np.multiply(padded[lead + (slice(i, i + n),)], weight, out=product)
     return out
 
 
@@ -272,7 +284,7 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     r = math.ceil(3.0 * sigma)
     offsets = np.arange(-r, r + 1, dtype=np.float64)
     taps = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
-    taps /= taps.sum()
+    taps /= np.add.reduce(taps)
     x = img.astype(np.float64)
     x = _blur_axis(x, taps, axis=1)
     x = _blur_axis(x, taps, axis=0)
@@ -324,6 +336,7 @@ def random_erasing(
     total = h * w
     out = img.copy()
     covered = np.zeros((h, w), dtype=bool)
+    count = 0  # covered pixels: each rectangle adds those it newly covers
 
     for _ in range(max_rects):
         area = rng.uniform(*area_range) * total
@@ -333,8 +346,10 @@ def random_erasing(
         x = rng.next_below(w - rw + 1)
         y = rng.next_below(h - rh + 1)
         out[y:y + rh, x:x + rw] = rng.bytes(rh * rw * 3).reshape(rh, rw, 3)
-        covered[y:y + rh, x:x + rw] = True
-        if covered.sum() >= min_fraction * total:
+        window = covered[y:y + rh, x:x + rw]
+        count += rh * rw - np.add.reduce(window, axis=None)
+        window[...] = True
+        if count >= min_fraction * total:
             break
     return out
 

@@ -57,15 +57,18 @@ def ensure_f32(img: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected float32 image, got dtype {img.dtype}")
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) image, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
+    if not np.logical_and.reduce(np.isfinite(img), axis=None):
         raise ValueError("float image contains non-finite values")
     return img
 
 
 def u8_from_float(values: np.ndarray) -> np.ndarray:
     """Clamp to [0, 255], round half away from zero, cast to uint8."""
-    clamped = np.clip(np.asarray(values, dtype=np.float64), 0.0, 255.0)
-    return np.floor(clamped + 0.5).astype(np.uint8)
+    x = np.array(values, dtype=np.float64)
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, 255.0, out=x)
+    x += 0.5
+    return np.floor(x, out=x).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,7 @@ def channel_mean(img: np.ndarray) -> np.ndarray:
     this equals ``img.reshape(-1, 3).mean(axis=0)`` byte for byte."""
     h, w = img.shape[:2]
     planes = np.ascontiguousarray(img.reshape(-1, 3).T)
-    return planes.sum(axis=1, dtype=np.int64) / (h * w)
+    return np.add.reduce(planes, axis=1, dtype=np.int64) / (h * w)
 
 
 def normalize_image(img: np.ndarray) -> np.ndarray:
@@ -200,10 +203,18 @@ def normalize_image(img: np.ndarray) -> np.ndarray:
     # the population std as numpy's std computes it: squared deviations summed
     # row by row down the (N, 3) pixels, a running sum along each plane
     sq = dev * dev
-    std = np.sqrt(np.cumsum(sq, axis=1, out=sq)[:, -1] / n)
+    std = np.sqrt(sq.cumsum(axis=1, out=sq)[:, -1] / n)
     out = np.empty(img.shape, dtype=np.float32)
     np.divide(dev, (std + NORM_EPS)[:, None], out=out.reshape(n, 3).T)
     return out
+
+
+def _clipped_index(coords: np.ndarray, n: int) -> np.ndarray:
+    """``clip(coords, -1, n) + 1`` as intp, clamping ``coords`` in place."""
+    np.maximum(coords, -1, out=coords)
+    np.minimum(coords, n, out=coords)
+    coords += 1
+    return coords.astype(np.intp)
 
 
 def bilinear_sample_grid(
@@ -220,11 +231,12 @@ def bilinear_sample_grid(
     # neighbor index is in range, and a weight multiplies a whole plane
     padded = np.empty((3, h + 2, w + 2), dtype=np.float64)
     padded[...] = np.asarray(fill, dtype=np.float64).reshape(3, 1, 1)
-    padded[:, 1:-1, 1:-1] = np.moveaxis(img, 2, 0)
+    padded[:, 1:-1, 1:-1] = img.transpose(2, 0, 1)
     planes = padded.reshape(3, -1)
 
-    shape = np.shape(xs)
-    xs = np.asarray(xs, dtype=np.float64).ravel()
+    xs = np.asarray(xs, dtype=np.float64)
+    shape = xs.shape
+    xs = xs.ravel()
     ys = np.asarray(ys, dtype=np.float64).ravel()
     x0 = np.floor(xs)
     y0 = np.floor(ys)
@@ -233,11 +245,11 @@ def bilinear_sample_grid(
     wx, wy = (1 - fx, fx), (1 - fy, fy)
     # padded column/row of each neighbor, clipped to [-1, w] x [-1, h] in
     # float so that far-out coordinates cannot overflow the integer cast
-    cols = [(np.clip(x0 + d, -1, w) + 1).astype(np.intp) for d in (0, 1)]
-    rows = [(np.clip(y0 + d, -1, h) + 1).astype(np.intp) * (w + 2) for d in (0, 1)]
+    cols = [_clipped_index(x0 + d, w) for d in (0, 1)]
+    rows = [_clipped_index(y0 + d, h) * (w + 2) for d in (0, 1)]
 
     out = np.zeros((3, xs.size), dtype=np.float64)
-    values = np.empty_like(out)
+    values = np.empty((3, xs.size), dtype=np.float64)
     for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
         # indices are in range by construction; mode="clip" lets take write
         # into ``values`` without the buffer that mode="raise" needs
@@ -281,9 +293,9 @@ def bilinear_resize(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
 def flip_x(img: np.ndarray) -> np.ndarray:
     """Mirror about the vertical axis (reverses columns); involution."""
-    return np.flip(img, axis=1).copy()
+    return np.asarray(img)[:, ::-1].copy()
 
 
 def flip_y(img: np.ndarray) -> np.ndarray:
     """Mirror about the horizontal axis (reverses rows); involution."""
-    return np.flip(img, axis=0).copy()
+    return np.asarray(img)[::-1].copy()

@@ -203,6 +203,7 @@ class PlanEntry:
     name: str
     probability: float
     values: MappingProxyType  # the merged parameters, see _entry_values
+    keywords: MappingProxyType  # the values as augment keywords, see _keywords
 
     def __reduce__(self):
         # a mappingproxy does not pickle, and pool workers that are not
@@ -211,7 +212,8 @@ class PlanEntry:
 
 
 def _plan_entry(name: str, probability: float, values: dict) -> PlanEntry:
-    return PlanEntry(name, probability, MappingProxyType(values))
+    return PlanEntry(name, probability, MappingProxyType(values),
+                     MappingProxyType(_keywords(values)))
 
 
 @dataclass(frozen=True)
@@ -271,29 +273,29 @@ def _keywords(values):
     return {f"{key}_range" if isinstance(v, tuple) else key: v for key, v in values.items()}
 
 
-def _apply_affine(img, rng, values, theta, bank, mask):
+def _apply_affine(img, rng, keywords, theta, bank, mask):
     h, w = img.shape[:2]
-    return augment.apply_affine(img, augment.sample_affine(rng, w, h, **_keywords(values)))
+    return augment.apply_affine(img, augment.sample_affine(rng, w, h, **keywords))
 
 
-def _apply_color_jitter(img, rng, values, theta, bank, mask):
-    return augment.color_jitter(img, augment.sample_color_jitter(rng, **_keywords(values)))
+def _apply_color_jitter(img, rng, keywords, theta, bank, mask):
+    return augment.color_jitter(img, augment.sample_color_jitter(rng, **keywords))
 
 
-def _apply_gaussian_blur(img, rng, values, theta, bank, mask):
-    sigma = rng.uniform(*values["sigma"])
+def _apply_gaussian_blur(img, rng, keywords, theta, bank, mask):
+    sigma = rng.uniform(*keywords["sigma_range"])
     return augment.gaussian_blur(img, sigma)
 
 
-def _apply_mixing(img, rng, values, theta, bank, mask):
+def _apply_mixing(img, rng, keywords, theta, bank, mask):
     return augment.mixing(img, rng)
 
 
-def _apply_random_erasing(img, rng, values, theta, bank, mask):
-    return augment.random_erasing(img, rng, **_keywords(values))
+def _apply_random_erasing(img, rng, keywords, theta, bank, mask):
+    return augment.random_erasing(img, rng, **keywords)
 
 
-def _apply_background_invariance(img, rng, values, theta, bank, mask):
+def _apply_background_invariance(img, rng, keywords, theta, bank, mask):
     return augment.background_invariance(img, bank, rng, theta, mask=mask and mask())
 
 
@@ -334,7 +336,7 @@ def apply_policy(
         gate = stream.next_float64()
         if gate < entry.probability:
             mask = source_mask if img is source else None
-            img = _APPLIERS[entry.name](img, stream, entry.values, plan.theta, soil_bank, mask)
+            img = _APPLIERS[entry.name](img, stream, entry.keywords, plan.theta, soil_bank, mask)
     return img
 
 

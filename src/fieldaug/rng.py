@@ -144,7 +144,7 @@ def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
         index[0::2] = data & 15
         index[1::2] = data >> 4
         index += _NIBBLE_BASE
-        out[start:start + 128] = np.bitwise_xor.reduce(np.take(table, index, axis=0), axis=0)
+        out[start:start + 128] = np.bitwise_xor.reduce(table.take(index, axis=0), axis=0)
     return out
 
 
@@ -211,7 +211,7 @@ def _floats(bits: np.ndarray) -> np.ndarray:
 
 def _bounds(k) -> np.ndarray:
     k = np.asarray(k, dtype=np.int64)
-    if np.any(k <= 0):
+    if np.logical_or.reduce(k <= 0, axis=None):
         raise ValueError("k must be positive")
     return k
 

@@ -229,8 +229,10 @@ def prepare_batch(images, input_size: int) -> np.ndarray:
         img = ensure_u8(img)
         if img.shape[0] != input_size or img.shape[1] != input_size:
             img = bilinear_resize(img, input_size, input_size)
-        rows.append(img.reshape(-1).astype(np.float64) / 255.0)
-    return np.stack(rows)
+        rows.append(img.reshape(-1))
+    batch = np.stack(rows).astype(np.float64)
+    batch /= 255.0
+    return batch
 
 
 # Draws prefetched per view stream: 12 whole lanes. A desk view of the benchmark (1,024 views,

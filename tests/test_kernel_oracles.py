@@ -17,12 +17,17 @@ The references below are the earlier implementations:
   three-array fancy-index gather;
 - ``reference_paste``: the boolean-indexed paste of ``background_invariance``;
 - ``reference_blur_axis``: ``np.pad`` edge replication for the blur borders;
-- ``reference_normalize_image``: numpy's ``mean`` and ``std``.
+- ``reference_normalize_image``: numpy's ``mean`` and ``std``;
+- ``reference_u8_from_float``: ``np.clip``, then round half away from zero;
+- ``reference_random_erasing``: the stop rule recounts every covered pixel;
+- ``reference_prepare_batch``: one cast and divide per image, then ``np.stack``.
 
 Outputs must match as raw bytes, not just approximately.
 """
 
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,8 @@ from hypothesis import strategies as st
 
 from fieldaug import augment as A
 from fieldaug import imagecore as ic
+from fieldaug import policy as P
+from fieldaug import tinytrain as tt
 from fieldaug.rng import RandomStream
 
 SHAPES = ((1, 1), (1, 5), (3, 2), (7, 23))
@@ -178,6 +185,38 @@ def blur_taps(sigma):
     offsets = np.arange(-r, r + 1, dtype=np.float64)
     taps = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
     return taps / taps.sum()
+
+
+def reference_u8_from_float(values):
+    clamped = np.clip(np.asarray(values, dtype=np.float64), 0.0, 255.0)
+    return np.floor(clamped + 0.5).astype(np.uint8)
+
+
+def reference_random_erasing(img, rng, min_fraction, area_range, aspect_range, max_rects):
+    h, w = img.shape[:2]
+    out = img.copy()
+    covered = np.zeros((h, w), dtype=bool)
+    for _ in range(max_rects):
+        area = rng.uniform(*area_range) * h * w
+        aspect = rng.uniform(*aspect_range)
+        rw = max(1, min(w, int(math.sqrt(area * aspect))))
+        rh = max(1, min(h, int(math.sqrt(area / aspect))))
+        x = rng.next_below(w - rw + 1)
+        y = rng.next_below(h - rh + 1)
+        out[y:y + rh, x:x + rw] = rng.bytes(rh * rw * 3).reshape(rh, rw, 3)
+        covered[y:y + rh, x:x + rw] = True
+        if covered.sum() >= min_fraction * h * w:
+            break
+    return out
+
+
+def reference_prepare_batch(images, input_size):
+    rows = []
+    for img in images:
+        if img.shape[:2] != (input_size, input_size):
+            img = ic.bilinear_resize(img, input_size, input_size)
+        rows.append(img.reshape(-1).astype(np.float64) / 255.0)
+    return np.stack(rows)
 
 
 def assert_same_bytes(got, want):
@@ -500,3 +539,74 @@ def test_gaussian_blur_radius_beyond_image_side(h, w, monkeypatch):
     fast = A.gaussian_blur(img, 3.5)
     monkeypatch.setattr(A, "_blur_axis", reference_blur_axis)
     assert_same_bytes(fast, A.gaussian_blur(img, 3.5))
+
+
+# ---------------------------------------------------------------------------
+# byte conversion, erasing stop rule, batch preparation, plan keywords
+# ---------------------------------------------------------------------------
+
+U8_EDGES = [np.inf, -np.inf, 0.0, -0.0, 254.5, 255.4999, 1e300, -1e300, 0.5, -0.5,
+            0.49999999999999994, 255.0, 255.5, 256.0, -1e-300, 127.5, 2.0 ** 52]
+
+
+def test_u8_from_float_matches_clip_on_edges():
+    values = np.array(U8_EDGES)
+    assert_same_bytes(ic.u8_from_float(values), reference_u8_from_float(values))
+    # the input is left as it was
+    assert values.tobytes() == np.array(U8_EDGES).tobytes()
+    for value in U8_EDGES:  # 0-d inputs
+        assert_same_bytes(np.asarray(ic.u8_from_float(value)), reference_u8_from_float(value))
+
+
+@pytest.mark.parametrize("size", [16, 128])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_u8_from_float_matches_clip_on_random_arrays(size, dtype):
+    rng = np.random.default_rng(size)
+    values = rng.normal(128.0, 150.0, size=(size, size, 3))
+    halves = np.floor(values) + 0.5  # exact ties round away from zero
+    values = np.where(rng.random(values.shape) < 0.3, halves, values)
+    values.flat[::97] = rng.choice(U8_EDGES, size=values.flat[::97].shape)
+    with np.errstate(over="ignore"):  # +-1e300 become +-inf in float32
+        values = values.astype(dtype)
+    assert_same_bytes(ic.u8_from_float(values), reference_u8_from_float(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FUZZ_SHAPES),
+    st.integers(0, 2 ** 64 - 1),
+    st.floats(0.01, 0.49),
+    st.tuples(st.floats(0.001, 0.5), st.floats(0.001, 0.5)).map(sorted),
+    st.integers(1, 100),
+)
+@example((7, 23), 0, 0.45, (0.01, 0.08), 100)
+@example((128, 128), 2, 0.49, (0.2, 0.5), 100)
+def test_random_erasing_stops_where_a_recount_would(shape, seed, min_fraction, area, max_rects):
+    # overlapping rectangles are common at large areas: the newly covered
+    # pixels of each one add up to the recounted total
+    img = byte_image(shape, seed % 2 ** 32, "random")
+    fast, ref = RandomStream(seed), RandomStream(seed)
+    got = A.random_erasing(img, fast, min_fraction, tuple(area), A.ERASE_ASPECT_RANGE, max_rects)
+    want = reference_random_erasing(img, ref, min_fraction, area, A.ERASE_ASPECT_RANGE, max_rects)
+    assert_same_bytes(got, want)
+    assert fast.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("sizes", [[16] * 5, [20, 16, 9, 16], [1]], ids=["same", "resized", "one"])
+def test_prepare_batch_matches_per_image_reference(sizes):
+    rng = np.random.default_rng(len(sizes))
+    images = [rng.integers(0, 256, size=(n, n + (n > 1), 3), dtype=np.uint8) for n in sizes]
+    images[0] = images[0][:, ::-1]  # a non-contiguous input
+    for input_size in (16, 5):
+        assert_same_bytes(tt.prepare_batch(images, input_size),
+                          reference_prepare_batch(images, input_size))
+
+
+def test_plan_entries_carry_their_keywords():
+    desk = Path(__file__).resolve().parents[1] / "perfbench" / "desk.policy"
+    for pol in (P.default_policy(), P.load_policy(desk.read_text())):
+        plan = P.compile_policy(pol)
+        for entry in plan.entries + pickle.loads(pickle.dumps(plan)).entries:
+            assert entry.keywords == P._keywords(entry.values)
+        with pytest.raises(TypeError):
+            plan.entries[0].keywords["x"] = 1

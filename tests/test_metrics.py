@@ -49,6 +49,22 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match="class ids"):
             mx.confusion_matrix(np.full((2, 2), 3), np.zeros((2, 2), int))
 
+    @pytest.mark.parametrize("bad", [1.5, 0.2, -0.5, np.nan, np.inf, -np.inf])
+    def test_non_integral_float_ids_rejected(self, bad):
+        # a float label is a class id only when it is a finite integer: no
+        # truncation to a class, and no cast warning for NaN
+        pred = np.array([[1.0, bad]])
+        with pytest.raises(ValueError, match="class ids must be integers"):
+            mx.confusion_matrix(pred, np.array([[1, 0]]))
+        with pytest.raises(ValueError, match="class ids must be integers"):
+            mx.confusion_matrix(np.array([[1, 0]]), pred)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool, np.uint8, np.int64])
+    def test_integral_floats_bools_and_integers_accepted(self, dtype):
+        pred = np.array([[0, 1], [1, 0]]).astype(dtype)
+        gt = np.array([[0, 1], [0, 0]])
+        assert np.array_equal(mx.confusion_matrix(pred, gt), [[2, 1, 0], [0, 1, 0], [0, 0, 0]])
+
 
 class TestIouMetrics:
     def test_perfect_miou(self, rng):

@@ -1,3 +1,6 @@
+import collections
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -225,9 +228,9 @@ def _count_draw_paths(monkeypatch):
     return counts
 
 
-def test_desk_view_batch_reads_every_draw_from_its_prefetch(monkeypatch):
-    # the first step of the benchmark's desk pretrain call (seed 0): its 128
-    # view streams draw from 2 lane passes and never run the scalar loop
+def _first_desk_step():
+    """The arguments of ``view_batches`` in the first step of the benchmark's
+    desk pretrain call (seed 0)."""
     corpus = tinytrain.make_synthetic_corpus(512, 16, seed=derive_seed(0, 1))
     bank = augment.build_soil_bank(tinytrain.make_synthetic_soil(24, 16, seed=derive_seed(0, 2)))
     desk = Path(__file__).resolve().parents[1] / "perfbench" / "desk.policy"
@@ -236,9 +239,45 @@ def test_desk_view_batch_reads_every_draw_from_its_prefetch(monkeypatch):
     batch = list(range(512))
     RandomStream(derive_seed(0, 1)).shuffle(batch)
     batch = batch[:64]
+    return [corpus[i] for i in batch], pol, batch, 16, bank
+
+
+def test_desk_view_batch_reads_every_draw_from_its_prefetch(monkeypatch):
+    # the first desk step's 128 view streams draw from 2 lane passes and
+    # never run the scalar loop
+    args = _first_desk_step()
     counts = _count_draw_paths(monkeypatch)
-    tinytrain.view_batches([corpus[i] for i in batch], pol, batch, 16, bank)
+    tinytrain.view_batches(*args)
     assert counts == {"scalar": 0, "passes": 2}
+
+
+# numpy's Python-level wrappers: np.clip, np.sum, np.any, ndarray.mean and the like
+NUMPY_WRAPPERS = ("_core/fromnumeric.py", "_core/_methods.py", "_core/getlimits.py")
+# Python functions of numpy entered in the first desk step under numpy 2.4; 1,044
+# of them are np.linalg.det and inv in apply_affine, kept for their rounding
+DESK_STEP_NUMPY_ENTRIES = 1461
+
+
+def test_desk_view_batch_enters_no_numpy_wrapper():
+    # each entry costs microseconds at 16 px; the view kernels keep to
+    # ufuncs and array methods that run in C
+    args = _first_desk_step()
+    root = str(Path(np.__file__).parent) + os.sep
+    entered = collections.Counter()
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_filename
+        if event == "call" and name.startswith(root):
+            entered[name[len(root):].replace(os.sep, "/")] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        tinytrain.view_batches(*args)
+    finally:
+        sys.setprofile(previous)
+    assert {name: entered[name] for name in NUMPY_WRAPPERS} == dict.fromkeys(NUMPY_WRAPPERS, 0)
+    assert 0 < sum(entered.values()) <= DESK_STEP_NUMPY_ENTRIES
 
 
 @pytest.mark.parametrize("entries", [[], [("gaussian_blur", 1.0), ("affine", 1.0)],
