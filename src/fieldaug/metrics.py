@@ -46,9 +46,11 @@ def _as_label_map(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError(f"expected (H, W) label map, got shape {labels.shape}")
-    if labels.dtype.kind == "f" and not (np.isfinite(labels) & (np.floor(labels) == labels)).all():
+    kind = labels.dtype.kind
+    if kind not in "biuf" or (
+            kind == "f" and not (np.isfinite(labels) & (np.floor(labels) == labels)).all()):
         raise ValueError("class ids must be integers")
-    if labels.min() < 0 or labels.max() >= NUM_CLASSES:
+    if labels.size and (labels.min() < 0 or labels.max() >= NUM_CLASSES):
         raise ValueError(f"class ids must be in [0, {NUM_CLASSES})")
     return labels.astype(np.int64)
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import augment
 from .imagecore import _first_line, _text_lines
-from .rng import RandomStream, derive_seed
+from .rng import SET_STEPS, RandomStream, derive_seed, prefetch
 from .vegmask import DEFAULT_THETA
 
 __all__ = [
@@ -340,9 +340,21 @@ def apply_policy(
     return img
 
 
-def _view_streams(master_seed: int, indices) -> list[RandomStream]:
-    """View k of image i draws from derive(master_seed, 2 * i + k)."""
-    return [RandomStream(derive_seed(master_seed, 2 * i + k)) for i in indices for k in (0, 1)]
+# Draws prefetched per pixel of a view stream's image: mixing makes one draw per
+# pixel, and erasing three fill draws per erased pixel at 10-18% coverage. Plans
+# without them draw a few values per view, fewer than a lane pass would save.
+PREFETCH_PER_PIXEL = 1.5
+
+
+def _view_streams(plan: Plan, indices, pixels: int) -> list[RandomStream]:
+    """View k of image i draws from derive(master_seed, 2 * i + k). When mixing or
+    random erasing can fire, PREFETCH_PER_PIXEL * ``pixels`` draws of each stream,
+    in whole lanes, are prefetched in one stream set."""
+    streams = [RandomStream(derive_seed(plan.master_seed, 2 * i + k))
+               for i in indices for k in (0, 1)]
+    if any(e.name in ("mixing", "random_erasing") and e.probability for e in plan.entries):
+        prefetch(streams, math.ceil(PREFETCH_PER_PIXEL * pixels / SET_STEPS) * SET_STEPS)
+    return streams
 
 
 def make_views(
@@ -352,13 +364,17 @@ def make_views(
     soil_bank: augment.SoilBank | None = None,
     streams: list[RandomStream] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Produce the two views for one image. View k draws from ``streams[k]``
-    or else from the stream seeded with derive(master_seed, 2 * image_index + k).
+    """Produce the two views for one image. View k draws from ``streams[k]``, of
+    two distinct streams, or else from its stream made by :func:`_view_streams`.
     Both views share one refined vegetation mask of ``img``, computed when first needed."""
     plan = compile_policy(policy)
+    if streams is None:
+        streams = _view_streams(plan, [image_index], img.shape[0] * img.shape[1])
+    elif len(streams) != 2 or streams[0] is streams[1]:
+        raise ValueError("make_views needs two distinct streams, one per view")
     source_mask = functools.cache(lambda: augment.refined_vegetation_mask(img, plan.theta))
     return tuple(apply_policy(img, plan, stream, soil_bank=soil_bank, source_mask=source_mask)
-                 for stream in streams or _view_streams(plan.master_seed, [image_index]))
+                 for stream in streams)
 
 
 # ---------------------------------------------------------------------------

@@ -16,20 +16,18 @@ draws use the generator's linearity over GF(2): the state transition is a
 256x256 bit matrix T, so lanes started ``SET_STEPS`` draws apart (by powers
 of T**BLOCK, the jump technique of Blackman and Vigna, "Scrambled linear
 pseudorandom number generators", ACM TOMS 2021) can all be stepped at once
-as ``uint64`` arrays. A lane pass's cost is mostly fixed (the jumps to the
-lane starts and the per-step array calls), so a pass for a large draw also
-computes the ``READ_AHEAD`` draws after it and keeps them for the stream's
-next calls, scalar or bulk. A default-policy view of a 128 px image makes
-one lane pass, where it made 3.875 without the read-ahead (one for mixing
-and one per random-erasing rectangle).
+as ``uint64`` arrays. A bulk draw computes exactly the values it returns.
 
 A stream set shares one lane pass among many streams: row i of
 ``u64s_many(streams, n)`` (and of ``below_many_many``) equals
 ``streams[i].u64s(n)``, and each stream ends where that call would leave
 it. The 512 streams of a 16 px synthetic corpus draw their noise in 13
-passes of 42 streams, where they made 512 passes of one. ``prefetch``
-keeps the rows as the streams' read-ahead instead: the 128 view streams of
-a 16 px desk pretraining step read every draw from 2 passes, not scalar loops.
+passes of 42 streams, where they made 512 passes of one. ``prefetch``, the
+only way a stream reads ahead, keeps the rows for the streams' next calls.
+A lane pass's cost is mostly fixed (the jumps to the lane starts and the
+per-step array calls), so ``policy._view_streams`` prefetches the draws of
+views that draw per pixel: a 16 px desk pretraining step draws all its
+views' values in 2 passes, and a 128 px default-policy view in one.
 """
 
 from __future__ import annotations
@@ -54,19 +52,14 @@ _TWO53_INV = 2.0 ** -53
 # (figures in CHANGES.md).
 BLOCK = 16
 CROSSOVER = 768
-# A single stream's draw of READ_AHEAD values or more (a 128 px mixing draw,
-# the desk model's larger weight blocks) also computes the next READ_AHEAD
-# for its later calls: a 128 px view's mixing pass covers its erasing fills.
-# Smaller draws read none ahead, nor do stream sets (synthetic images).
-READ_AHEAD = 8192
 # Draws per lane, for one stream and for many. Measured as above, per
 # stream of 768 draws in passes of 42 streams: 22 us in 32-step lanes, 30
 # in 64-step and 33 in 128-step lanes; 16-step lanes fit only 21 streams
 # under LANES_PER_PASS (30 us), and one stream's below_many(768) 280 us.
 SET_STEPS = 2 * BLOCK
 # Most lanes stepped together in one pass. A pass holds at most MAX_PASS =
-# 32,768 draws (256 KiB per buffer): a 128 px mixing draw and its
-# read-ahead (16,384 + 8,192) take one pass of 768 lanes.
+# 32,768 draws (256 KiB per buffer): a 128 px view stream's prefetch
+# (1.5 x 16,384 draws) takes one pass of 768 lanes.
 LANES_PER_PASS = 1024
 MAX_PASS = SET_STEPS * LANES_PER_PASS
 
@@ -229,10 +222,10 @@ class RandomStream:
     """xoshiro256** with 256-bit state, seeded by splitmix64 expansion of a
     64-bit seed (four successive outputs fill the state words).
 
-    A lane pass may compute more draws than it was asked for. ``_ahead`` keeps
-    those output values, unread from index ``_read`` on, or is None when
-    all are read; the state words sit after the last of them, so the
-    stream's position is theirs less the unread count."""
+    :func:`prefetch` may hand a stream draws before it asks for them.
+    ``_ahead`` keeps those output values, unread from index ``_read`` on,
+    or is None when all are read; the state words sit after the last of
+    them, so the stream's position is theirs less the unread count."""
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_ahead", "_read")
 
@@ -311,25 +304,20 @@ class RandomStream:
             raise ValueError("n must be non-negative")
         ahead, read = self._ahead, self._read
         done = 0 if ahead is None else min(n, len(ahead) - read)
-        rest = n - done
-        want = rest + (READ_AHEAD if rest >= READ_AHEAD else 0)
-        lanes = want - want % SET_STEPS if rest >= CROSSOVER else 0
-        out = np.empty(max(n, done + lanes), dtype=_U64)
+        out = np.empty(n, dtype=_U64)
         if done:
             out[:done] = ahead[read:read + done]
             self._read += done
             if self._read == len(ahead):
                 self._ahead = None
-        if lanes:
-            _lane_passes([self], out[None, done:done + lanes])
-            if lanes > rest:
-                # a copy: the returned view, not the stream, keeps the buffer
-                self._ahead, self._read = out[n:].copy(), 0
-            done += min(lanes, rest)
+        if n - done >= CROSSOVER:
+            end = n - (n - done) % SET_STEPS
+            _lane_passes([self], out[None, done:end])
+            done = end
         if done < n:
             out[done:n] = self._s1_words(n - done)
             _scramble(out[done:n])
-        return out[:n]
+        return out
 
     def uniforms(self, n: int, lo: float, hi: float) -> np.ndarray:
         """``n`` calls of :meth:`uniform` as a float64 array."""

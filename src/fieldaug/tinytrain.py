@@ -35,7 +35,7 @@ from . import twins
 from .imagecore import _first_line, _text_lines, bilinear_resize, ensure_u8
 from .policy import Plan, Policy, _view_streams, compile_policy, make_views
 from .augment import SoilBank
-from .rng import SET_STEPS, RandomStream, below_many_many, derive_seed, prefetch, streams_per_pass
+from .rng import RandomStream, below_many_many, derive_seed, streams_per_pass
 
 __all__ = [
     "ENC_HIDDEN",
@@ -235,20 +235,13 @@ def prepare_batch(images, input_size: int) -> np.ndarray:
     return batch
 
 
-# Draws prefetched per view stream: 12 whole lanes. A desk view of the benchmark (1,024 views,
-# seed 0) draws 109 on average, median 60, p90 313, p99 336, at most 347. 128 streams take 2
-# lane passes (1.4 ms, 11 us a view); views with no mixing or erasing draw too few to repay it.
-VIEW_PREFETCH = 12 * SET_STEPS
-
-
 def view_batches(images, plan: Plan | Policy, indices, input_size: int,
                  soil_bank: SoilBank | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Two prepared view batches: row k of each holds a view of
     ``images[k]`` made by :func:`make_views` as image ``indices[k]``."""
-    plan, indices = compile_policy(plan), list(indices)
-    streams = _view_streams(plan.master_seed, indices)
-    if any(e.name in ("mixing", "random_erasing") and e.probability for e in plan.entries):
-        prefetch(streams, VIEW_PREFETCH)
+    plan, images, indices = compile_policy(plan), list(images), list(indices)
+    pixels = max((img.shape[0] * img.shape[1] for img in images), default=0)
+    streams = _view_streams(plan, indices, pixels)
     pairs = [make_views(img, plan, index, soil_bank, streams[2 * k:2 * k + 2])
              for k, (img, index) in enumerate(zip(images, indices, strict=True))]
     return (prepare_batch([v1 for v1, _ in pairs], input_size),

@@ -59,6 +59,24 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match="class ids must be integers"):
             mx.confusion_matrix(np.array([[1, 0]]), pred)
 
+    @pytest.mark.parametrize("bad", [np.array([[1 + 0j, 0]]), np.array([[1, 2j]]),
+                                     np.array([["1", "0"]]), np.array([[1, None]], dtype=object),
+                                     np.array([[1, 0]], dtype=object)],
+                             ids=["complex-real", "complex", "string", "none", "object"])
+    def test_ids_of_other_kinds_rejected(self, bad):
+        # only bool, integer and float maps hold class ids; a complex id is
+        # not truncated to its real part, nor a string parsed
+        with pytest.raises(ValueError, match="class ids must be integers"):
+            mx.confusion_matrix(bad, np.array([[1, 0]]))
+        with pytest.raises(ValueError, match="class ids must be integers"):
+            mx.confusion_matrix(np.array([[1, 0]]), bad)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_maps_count_no_pixels(self, shape):
+        for dtype in (np.int64, np.float64, bool):
+            cm = mx.confusion_matrix(np.zeros(shape, dtype), np.zeros(shape, dtype))
+            assert cm.shape == (3, 3) and not cm.any()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool, np.uint8, np.int64])
     def test_integral_floats_bools_and_integers_accepted(self, dtype):
         pred = np.array([[0, 1], [1, 0]]).astype(dtype)

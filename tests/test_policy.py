@@ -159,6 +159,15 @@ class TestMakeViews:
         b = make_views(plant_image, pol, 1, soil_bank=soil_bank)
         assert not np.array_equal(a[0], b[0])
 
+    @pytest.mark.parametrize("picks", [[], [0], [0, 1, 2], [0, 0]],
+                             ids=["none", "one", "three", "repeated"])
+    def test_exactly_two_distinct_streams(self, plant_image, soil_bank, picks):
+        # an empty list is not taken as "derive the streams"
+        streams = [RandomStream(i) for i in range(3)]
+        with pytest.raises(ValueError, match="two distinct streams"):
+            make_views(plant_image, default_policy(3), 0, soil_bank=soil_bank,
+                       streams=[streams[i] for i in picks])
+
 
 class TestPolicyText:
     def test_default_round_trip(self):

@@ -92,8 +92,8 @@ BULK_SIZES = sorted({
     0, 1, rng.BLOCK - 1, rng.BLOCK, rng.BLOCK + 1,
     rng.CROSSOVER - 1, rng.CROSSOVER, rng.CROSSOVER + 1, 16384, 49152,
     PASS - 1, PASS + 1, 2 * PASS + 1,
-    # read-ahead on or off, and a draw whose read-ahead overruns the largest pass
-    rng.READ_AHEAD - 1, rng.READ_AHEAD + 1, 2 * PASS - rng.READ_AHEAD + 1,
+    # either side of 8,192, and 8,191 short of two passes
+    8191, 8193, 2 * PASS - 8191,
 })
 
 # (bulk call, the scalar call it must repeat n times)
@@ -175,13 +175,13 @@ DRAW_SIZES = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, MASK64),
        calls=st.lists(st.tuples(st.sampled_from(sorted(INTERLEAVED)), DRAW_SIZES), max_size=6))
-@example(seed=1, calls=[("u64s", rng.READ_AHEAD), ("next_u64", 0), ("bytes", 100),
+@example(seed=1, calls=[("u64s", 8192), ("next_u64", 0), ("bytes", 100),
                         ("below_many_per_draw", PASS + 1), ("shuffle", 30),
                         ("uniforms", 2 * PASS + 1), ("next_below", 6)])
-@example(seed=2, calls=[("below_many", 16384), ("bytes", rng.READ_AHEAD - 1),
+@example(seed=2, calls=[("below_many", 16384), ("bytes", 8191),
                         ("uniforms", 3), ("u64s", rng.CROSSOVER)])
-# scalar draws that run the read-ahead out: shuffling 8 items makes 7
-@example(seed=3, calls=[("u64s", rng.READ_AHEAD), ("bytes", rng.READ_AHEAD - 3),
+# lane draws with scalar tails: shuffling 8 items makes 7 draws
+@example(seed=3, calls=[("u64s", 8192), ("bytes", 8189),
                         ("shuffle", 8), ("u64s", 5)])
 def test_interleaved_calls_equal_scalar_calls(seed, calls):
     # a twin stream that only ever makes scalar calls is the oracle
@@ -192,11 +192,17 @@ def test_interleaved_calls_equal_scalar_calls(seed, calls):
     assert a.next_u64() == b.next_u64()
 
 
-def test_one_lane_pass_per_128px_view(monkeypatch):
-    # the read-ahead of mixing's pass serves the view's erasing fills
-    corpus = tinytrain.make_synthetic_corpus(8, 128, seed=derive_seed(0, 1))
+def _field_set(count):
+    """``count`` 128 px images, a soil bank and the default policy (seed 0)."""
+    corpus = tinytrain.make_synthetic_corpus(count, 128, seed=derive_seed(0, 1))
     bank = augment.build_soil_bank(tinytrain.make_synthetic_soil(32, 16, seed=derive_seed(0, 2)))
-    pol = policy.default_policy(derive_seed(0, 3))
+    return corpus, bank, policy.default_policy(derive_seed(0, 3))
+
+
+def test_one_lane_pass_per_128px_view(monkeypatch):
+    # each view stream's prefetch serves its view's mixing choices and
+    # erasing fills
+    corpus, bank, pol = _field_set(8)
     passes = []
     lane_pass = rng._lane_pass
 
@@ -226,6 +232,15 @@ def _count_draw_paths(monkeypatch):
     monkeypatch.setattr(RandomStream, "_s1_words", scalar)
     monkeypatch.setattr(rng, "_lane_pass", passes)
     return counts
+
+
+def test_erasing_fills_come_from_the_prefetch(monkeypatch):
+    # a view of image 10 skips mixing; its erasing fills are read from its
+    # stream's prefetch, not drawn in one lane pass per rectangle (5 passes)
+    corpus, bank, pol = _field_set(11)
+    counts = _count_draw_paths(monkeypatch)
+    policy.make_views(corpus[10], pol, 10, soil_bank=bank)
+    assert counts["passes"] == 2
 
 
 def _first_desk_step():
@@ -280,9 +295,13 @@ def test_desk_view_batch_enters_no_numpy_wrapper():
     assert 0 < sum(entered.values()) <= DESK_STEP_NUMPY_ENTRIES
 
 
-@pytest.mark.parametrize("entries", [[], [("gaussian_blur", 1.0), ("affine", 1.0)],
-                                     [("mixing", 0.0), ("random_erasing", 0.0)]],
-                         ids=["empty", "no-pixel-draws", "never-fires"])
+NO_PIXEL_DRAWS = pytest.mark.parametrize(
+    "entries", [[], [("gaussian_blur", 1.0), ("affine", 1.0)],
+                [("mixing", 0.0), ("random_erasing", 0.0)]],
+    ids=["empty", "no-pixel-draws", "never-fires"])
+
+
+@NO_PIXEL_DRAWS
 def test_no_prefetch_for_plans_without_pixel_draws(monkeypatch, entries):
     # a plan whose views draw a few values each does not pay for a lane pass
     pol = policy.Policy([policy.PolicyEntry(name, p) for name, p in entries], master_seed=4)
@@ -290,6 +309,58 @@ def test_no_prefetch_for_plans_without_pixel_draws(monkeypatch, entries):
     counts = _count_draw_paths(monkeypatch)
     tinytrain.view_batches(images, pol, range(8), 16)
     assert counts["passes"] == 0
+
+
+@NO_PIXEL_DRAWS
+def test_make_views_prefetches_nothing_without_pixel_draws(monkeypatch, entries):
+    pol = policy.Policy([policy.PolicyEntry(name, p) for name, p in entries], master_seed=4)
+    images = tinytrain.make_synthetic_corpus(8, 16, seed=1)
+    counts = _count_draw_paths(monkeypatch)
+    for i, img in enumerate(images):
+        policy.make_views(img, pol, i)
+    assert counts["passes"] == 0
+
+
+VIEW_BANK = augment.build_soil_bank(tinytrain.make_synthetic_soil(8, 16, seed=5))
+
+
+def _unprefetched_views(img, plan, index):
+    """The two views of ``img`` as image ``index``, drawn from fresh streams
+    that hold no read-ahead."""
+    return [policy.apply_policy(img, plan, RandomStream(derive_seed(plan.master_seed, 2 * index + k)),
+                                soil_bank=VIEW_BANK)
+            for k in (0, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(height=st.integers(1, 40), width=st.integers(1, 40),
+       mixing=st.floats(0, 1), erasing=st.floats(0, 1),
+       seed=st.integers(0, MASK64), index=st.integers(0, 2 ** 40))
+@example(height=16, width=16, mixing=0.9, erasing=1.0, seed=0, index=3)
+@example(height=1, width=40, mixing=1.0, erasing=0.0, seed=1, index=0)
+@example(height=37, width=5, mixing=0.0, erasing=1.0, seed=2, index=7)
+def test_prefetched_views_equal_unprefetched_views(height, width, mixing, erasing, seed, index):
+    img = np.random.default_rng(seed % 2 ** 32).integers(0, 256, (height, width, 3), np.uint8)
+    probabilities = {**policy.DEFAULT_PROBABILITIES, "mixing": mixing, "random_erasing": erasing}
+    plan = policy.compile_policy(policy.Policy(
+        [policy.PolicyEntry(name, p) for name, p in probabilities.items()], master_seed=seed))
+    got = policy.make_views(img, plan, index, soil_bank=VIEW_BANK)
+    want = _unprefetched_views(img, plan, index)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_views_past_their_prefetch_equal_unprefetched_views():
+    # many default-policy 16 px views draw more than their 384 prefetched
+    # values and go on from the end of them
+    corpus = tinytrain.make_synthetic_corpus(8, 16, seed=derive_seed(0, 1))
+    plan = policy.compile_policy(policy.default_policy())
+    drained = 0
+    for i, img in enumerate(corpus):
+        streams = policy._view_streams(plan, [i], 16 * 16)
+        got = policy.make_views(img, plan, i, VIEW_BANK, streams)
+        drained += sum(s._ahead is None for s in streams)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in _unprefetched_views(img, plan, i)]
+    assert drained >= 4
 
 
 # (count, n): one stream's u64s(n) where count is None, else u64s_many of count streams
@@ -329,7 +400,7 @@ def test_every_lane_pass_has_set_steps_lanes(monkeypatch, count, n):
 SET_SIZES = sorted({
     0, 1, rng.SET_STEPS - 1, rng.SET_STEPS, rng.SET_STEPS + 1,
     rng.CROSSOVER - 1, rng.CROSSOVER + 1, 768,
-    rng.READ_AHEAD - 1, rng.READ_AHEAD + 1,
+    8191, 8193,
     rng.MAX_PASS - 1, rng.MAX_PASS, rng.MAX_PASS + 1,
 })
 
@@ -370,8 +441,10 @@ def test_stream_set_rows_equal_per_stream_calls(sizes, method, seed, skips):
     b = [RandomStream(derive_seed(seed, i)) for i in range(count)]
     for i, (x, y) in enumerate(zip(a, b)):
         # mixed positions; a few streams hold read-ahead values
-        prelude = rng.READ_AHEAD + i if i in ahead else skips[i % len(skips)]
+        prelude = skips[i % len(skips)]
         assert x.u64s(prelude).tolist() == y.u64s(prelude).tolist()
+        if i in ahead:
+            rng.prefetch([x], 8192 + i)
     got = many(a, n)
     assert got.shape == (count, n)
     for i, (x, y) in enumerate(zip(a, b)):
@@ -391,26 +464,26 @@ def test_stream_set_validation():
     assert s.next_u64() == RandomStream(1).next_u64()
 
 
-PREFETCH_SIZES = [0, 1, rng.SET_STEPS - 1, rng.SET_STEPS, tinytrain.VIEW_PREFETCH]
+PREFETCH_SIZES = [0, 1, rng.SET_STEPS - 1, rng.SET_STEPS, 384]
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, MASK64),
-       n=st.one_of(st.sampled_from(PREFETCH_SIZES), st.integers(0, 2 * tinytrain.VIEW_PREFETCH)),
+       n=st.one_of(st.sampled_from(PREFETCH_SIZES), st.integers(0, 2 * 384)),
        count=st.integers(1, 3), skip=st.integers(0, 3 * rng.BLOCK),
        calls=st.lists(st.tuples(st.sampled_from(sorted(INTERLEAVED)), DRAW_SIZES), max_size=6))
 # calls that end inside, at and past the end of the prefetched draws
-@example(seed=1, n=tinytrain.VIEW_PREFETCH, count=3, skip=5,
+@example(seed=1, n=384, count=3, skip=5,
          calls=[("next_u64", 0), ("bytes", 300), ("u64s", 83), ("uniform", 0), ("bytes", 50)])
-@example(seed=1, n=tinytrain.VIEW_PREFETCH, count=2, skip=0,
+@example(seed=1, n=384, count=2, skip=0,
          calls=[("bytes", 380), ("u64s", 10), ("next_below", 3)])
-@example(seed=6, n=tinytrain.VIEW_PREFETCH, count=2, skip=3,
-         calls=[("u64s", 10), ("u64s", rng.READ_AHEAD + 374), ("bytes", 10)])
+@example(seed=6, n=384, count=2, skip=3,
+         calls=[("u64s", 10), ("u64s", 8192 + 374), ("bytes", 10)])
 @example(seed=2, n=rng.SET_STEPS - 1, count=2, skip=0,
          calls=[("shuffle", 20), ("below_many", rng.CROSSOVER), ("next_below", 6)])
 @example(seed=3, n=rng.SET_STEPS, count=1, skip=1,
-         calls=[("uniforms", 7), ("u64s", rng.READ_AHEAD), ("bytes", 100), ("u64s", rng.CROSSOVER)])
-@example(seed=4, n=1, count=2, skip=0, calls=[("below_many_per_draw", rng.READ_AHEAD + 1)])
+         calls=[("uniforms", 7), ("u64s", 8192), ("bytes", 100), ("u64s", rng.CROSSOVER)])
+@example(seed=4, n=1, count=2, skip=0, calls=[("below_many_per_draw", 8193)])
 @example(seed=5, n=0, count=3, skip=2, calls=[("next_float64", 0), ("u64s", rng.CROSSOVER - 1)])
 def test_prefetched_streams_equal_scalar_calls(seed, n, count, skip, calls):
     # each stream of the set, at its own position, against a scalar twin
@@ -429,7 +502,7 @@ def test_prefetched_streams_equal_scalar_calls(seed, n, count, skip, calls):
 def test_prefetch_validation():
     s, t = RandomStream(1), RandomStream(2)
     held = RandomStream(3)
-    held.u64s(rng.READ_AHEAD)  # keeps READ_AHEAD values read ahead
+    rng.prefetch([held], 8192)
     ahead = held._ahead
     for streams, n in (([s, t, s], 4), ([s, held, t], 4), ([s, t], -1)):
         with pytest.raises(ValueError):
@@ -438,5 +511,4 @@ def test_prefetch_validation():
     assert s._ahead is None and t._ahead is None and held._ahead is ahead
     assert (s.next_u64(), t.next_u64()) == (RandomStream(1).next_u64(), RandomStream(2).next_u64())
     twin = RandomStream(3)
-    twin.u64s(rng.READ_AHEAD)
-    assert held.u64s(rng.READ_AHEAD + 1).tolist() == twin.u64s(rng.READ_AHEAD + 1).tolist()
+    assert held.u64s(8193).tolist() == twin.u64s(8193).tolist()

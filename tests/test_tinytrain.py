@@ -305,10 +305,16 @@ BAD_BUFFERS = [
 
 
 class TestViewBatches:
-    @pytest.mark.parametrize("indices", [[5, 0, 3], [10 ** 9, 10 ** 9 + 1, 10 ** 9 + 2]],
-                             ids=["training", "probe"])
-    def test_equals_the_per_image_loop(self, indices, soil_bank):
-        images = tt.make_synthetic_corpus(3, size=12, seed=4)
+    # mixed shapes: every stream prefetches for the largest image
+    @pytest.mark.parametrize("indices, shapes", [
+        ([5, 0, 3], [(12, 12)] * 3),
+        ([10 ** 9, 10 ** 9 + 1, 10 ** 9 + 2], [(12, 12)] * 3),
+        ([7, 2, 0, 9], [(12, 12), (20, 9), (5, 30), (1, 1)]),
+    ], ids=["training", "probe", "mixed-shapes"])
+    def test_equals_the_per_image_loop(self, indices, shapes, soil_bank):
+        size = max(max(shape) for shape in shapes)
+        corpus = tt.make_synthetic_corpus(len(shapes), size=size, seed=4)
+        images = [img[:h, :w] for img, (h, w) in zip(corpus, shapes)]
         plan = P.compile_policy(P.default_policy(3))
         got = tt.view_batches(images, plan, indices, 8, soil_bank)
         views1, views2 = [], []
