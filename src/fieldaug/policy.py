@@ -37,7 +37,7 @@ import numpy as np
 
 from . import augment
 from .imagecore import _first_line, _text_lines
-from .rng import SET_STEPS, RandomStream, derive_seed, prefetch
+from .rng import SET_STEPS, RandomStream, derive_seed, prefetch, streams_per_pass
 from .vegmask import DEFAULT_THETA
 
 __all__ = [
@@ -325,6 +325,9 @@ def apply_policy(
     ``source_mask``, when given, returns the refined vegetation mask of
     ``img``; an entry that fires before any other has changed the image
     receives it, and background invariance uses it.
+    ``apply_policy`` prefetches nothing, so on a fresh stream each erasing
+    rectangle of 768 or more fill draws makes its own lane pass, and a view
+    through :func:`make_views`, which prefetches, is faster.
     """
     plan = compile_policy(policy)
     if plan.needs_bank and (soil_bank is None or len(soil_bank) == 0):
@@ -346,15 +349,28 @@ def apply_policy(
 PREFETCH_PER_PIXEL = 1.5
 
 
-def _view_streams(plan: Plan, indices, pixels: int) -> list[RandomStream]:
-    """View k of image i draws from derive(master_seed, 2 * i + k). When mixing or
-    random erasing can fire, PREFETCH_PER_PIXEL * ``pixels`` draws of each stream,
-    in whole lanes, are prefetched in one stream set."""
-    streams = [RandomStream(derive_seed(plan.master_seed, 2 * i + k))
-               for i in indices for k in (0, 1)]
-    if any(e.name in ("mixing", "random_erasing") and e.probability for e in plan.entries):
-        prefetch(streams, math.ceil(PREFETCH_PER_PIXEL * pixels / SET_STEPS) * SET_STEPS)
-    return streams
+def _view_streams(plan: Plan, indices, shapes):
+    """Yield sets ``(ks, streams)`` covering every k: ``streams[2j + v]``, seeded
+    derive(master_seed, 2 * indices[ks[j]] + v), draws view v of the image of
+    shape ``shapes[ks[j]]``. When mixing or random erasing can fire, each stream
+    prefetches PREFETCH_PER_PIXEL draws per pixel, in whole lanes, as its set
+    is yielded. A set's streams prefetch as many draws each and share one lane
+    pass (a set is one image from 74 px on), so one set's read-ahead need be
+    alive at a time."""
+    rate = PREFETCH_PER_PIXEL if any(
+        e.name in ("mixing", "random_erasing") and e.probability for e in plan.entries) else 0
+    by_draws: dict[int, list[int]] = {}
+    for k, shape in enumerate(shapes):
+        draws = math.ceil(rate * shape[0] * shape[1] / SET_STEPS) * SET_STEPS
+        by_draws.setdefault(draws, []).append(k)
+    for draws, ks in by_draws.items():
+        per_set = max(1, streams_per_pass(draws) // 2)
+        for start in range(0, len(ks), per_set):
+            streams = [RandomStream(derive_seed(plan.master_seed, 2 * indices[k] + v))
+                       for k in ks[start:start + per_set] for v in (0, 1)]
+            if draws:
+                prefetch(streams, draws)
+            yield ks[start:start + per_set], streams
 
 
 def make_views(
@@ -369,7 +385,7 @@ def make_views(
     Both views share one refined vegetation mask of ``img``, computed when first needed."""
     plan = compile_policy(policy)
     if streams is None:
-        streams = _view_streams(plan, [image_index], img.shape[0] * img.shape[1])
+        [(_, streams)] = _view_streams(plan, [image_index], [img.shape])
     elif len(streams) != 2 or streams[0] is streams[1]:
         raise ValueError("make_views needs two distinct streams, one per view")
     source_mask = functools.cache(lambda: augment.refined_vegetation_mask(img, plan.theta))

@@ -240,10 +240,12 @@ def view_batches(images, plan: Plan | Policy, indices, input_size: int,
     """Two prepared view batches: row k of each holds a view of
     ``images[k]`` made by :func:`make_views` as image ``indices[k]``."""
     plan, images, indices = compile_policy(plan), list(images), list(indices)
-    pixels = max((img.shape[0] * img.shape[1] for img in images), default=0)
-    streams = _view_streams(plan, indices, pixels)
-    pairs = [make_views(img, plan, index, soil_bank, streams[2 * k:2 * k + 2])
-             for k, (img, index) in enumerate(zip(images, indices, strict=True))]
+    pairs = [None] * len(images)
+    shapes = [img.shape for img, _ in zip(images, indices, strict=True)]
+    for ks, streams in _view_streams(plan, indices, shapes):
+        for j, k in enumerate(ks):
+            pairs[k] = make_views(images[k], plan, indices[k], soil_bank, streams[2 * j:2 * j + 2])
+        del streams  # freed before the next set's prefetch
     return (prepare_batch([v1 for v1, _ in pairs], input_size),
             prepare_batch([v2 for _, v2 in pairs], input_size))
 

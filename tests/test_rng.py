@@ -356,7 +356,7 @@ def test_views_past_their_prefetch_equal_unprefetched_views():
     plan = policy.compile_policy(policy.default_policy())
     drained = 0
     for i, img in enumerate(corpus):
-        streams = policy._view_streams(plan, [i], 16 * 16)
+        [(_, streams)] = policy._view_streams(plan, [i], [img.shape])
         got = policy.make_views(img, plan, i, VIEW_BANK, streams)
         drained += sum(s._ahead is None for s in streams)
         assert [v.tobytes() for v in got] == [v.tobytes() for v in _unprefetched_views(img, plan, i)]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ BAD_BUFFERS = [
 
 
 class TestViewBatches:
-    # mixed shapes: every stream prefetches for the largest image
+    # mixed shapes: each image's streams prefetch for its own size
     @pytest.mark.parametrize("indices, shapes", [
         ([5, 0, 3], [(12, 12)] * 3),
         ([10 ** 9, 10 ** 9 + 1, 10 ** 9 + 2], [(12, 12)] * 3),
@@ -325,6 +326,25 @@ class TestViewBatches:
         for x, views in zip(got, (views1, views2)):
             expected = tt.prepare_batch(views, 8)
             assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+
+    def test_sets_prefetch_their_own_size_one_at_a_time(self, monkeypatch, soil_bank):
+        # a stream set holds images of one prefetch size, as many as share a
+        # lane pass: 4 streams of 8,000 draws at 73 px, one image from 74 px
+        # on. Each set's read-ahead is freed before the next set's prefetch.
+        sizes = [16, 128, 73, 16, 73, 128, 73, 16]
+        corpus = tt.make_synthetic_corpus(len(sizes), size=128, seed=4)
+        images = [img[:size, :size] for img, size in zip(corpus, sizes)]
+        prefetch, sets, alive = P.prefetch, [], []
+
+        def spy(streams, n):
+            assert all(ref() is None for ref in alive)
+            prefetch(streams, n)
+            sets.append((len(streams), n))
+            alive.append(weakref.ref(streams[0]._ahead.base))
+
+        monkeypatch.setattr(P, "prefetch", spy)
+        tt.view_batches(images, P.default_policy(3), range(len(sizes)), 8, soil_bank)
+        assert sorted(sets) == [(2, 8000), (2, 24576), (2, 24576), (4, 8000), (6, 384)]
 
     def test_indices_must_parallel_the_images(self):
         images = tt.make_synthetic_corpus(3, size=8)
