@@ -162,10 +162,11 @@ _COMPARE = {
 
 
 def _entry_values(entry: PolicyEntry, where: str = "") -> dict:
-    """Check ``entry`` and return each parameter of its augmentation with
-    the overrides merged; a range is a ``(lo, hi)`` tuple. Overrides are
-    known and finite, merged ranges are ordered, and both ends of a range,
-    or a single value, keep the bounds of their parameter."""
+    """Check ``entry`` and return each parameter of its augmentation, with
+    the overrides merged, as its ``augment`` keyword: a range ``<key>`` is a
+    ``(lo, hi)`` tuple named ``<key>_range``. Overrides are known and finite,
+    merged ranges are ordered, and both ends of a range, or a single value,
+    keep the bounds of their parameter."""
     if entry.name not in AUGMENTATION_NAMES:
         raise PolicyError(f"unknown augmentation {entry.name!r}{where}")
     if not 0.0 <= entry.probability <= 1.0:
@@ -183,7 +184,7 @@ def _entry_values(entry: PolicyEntry, where: str = "") -> dict:
             hi = entry.params.get(f"{key}_max", default[1])
             if lo > hi:
                 raise PolicyError(f"{key}_min={lo} exceeds {key}_max={hi}{where}")
-            values[key] = (lo, hi)
+            values[f"{key}_range"] = (lo, hi)
             ends = (("_min", lo), ("_max", hi))
         else:
             value = entry.params.get(key, default)
@@ -202,18 +203,16 @@ def _entry_values(entry: PolicyEntry, where: str = "") -> dict:
 class PlanEntry:
     name: str
     probability: float
-    values: MappingProxyType  # the merged parameters, see _entry_values
-    keywords: MappingProxyType  # the values as augment keywords, see _keywords
+    keywords: MappingProxyType  # the merged parameters, see _entry_values
 
     def __reduce__(self):
         # a mappingproxy does not pickle, and pool workers that are not
         # forked receive their plans pickled
-        return _plan_entry, (self.name, self.probability, dict(self.values))
+        return _plan_entry, (self.name, self.probability, dict(self.keywords))
 
 
-def _plan_entry(name: str, probability: float, values: dict) -> PlanEntry:
-    return PlanEntry(name, probability, MappingProxyType(values),
-                     MappingProxyType(_keywords(values)))
+def _plan_entry(name: str, probability: float, keywords: dict) -> PlanEntry:
+    return PlanEntry(name, probability, MappingProxyType(keywords))
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,7 @@ def compile_policy(policy: Policy | Plan) -> Plan:
     )
     return Plan(
         entries=entries,
-        master_seed=policy.master_seed,
+        master_seed=int(policy.master_seed),
         theta=policy.theta,
         needs_bank=any(e.name == "background_invariance" for e in entries),
     )
@@ -258,6 +257,8 @@ def validate_policy(policy: Policy, lines: dict | None = None) -> list[dict]:
         merged.append(_entry_values(entry, where.get(index, "")))
     if not math.isfinite(policy.theta):
         raise PolicyError(f"theta={policy.theta} is not finite{where.get('theta', '')}")
+    if not isinstance(policy.master_seed, (int, np.integer)):
+        raise PolicyError(f"seed {policy.master_seed!r} is not an integer{where.get('seed', '')}")
     if not 0 <= policy.master_seed < 2 ** 64:
         raise PolicyError(f"seed {policy.master_seed} out of u64 range{where.get('seed', '')}")
     return merged
@@ -266,11 +267,6 @@ def validate_policy(policy: Policy, lines: dict | None = None) -> list[dict]:
 # ---------------------------------------------------------------------------
 # application
 # ---------------------------------------------------------------------------
-
-def _keywords(values):
-    """Each merged parameter as the ``augment`` keyword it reaches: a range
-    ``<key>`` is ``<key>_range``, a single value keeps its name."""
-    return {f"{key}_range" if isinstance(v, tuple) else key: v for key, v in values.items()}
 
 
 def _apply_affine(img, rng, keywords, theta, bank, mask):
@@ -444,10 +440,11 @@ def load_policy(text: str | bytes) -> Policy:
 def save_policy(policy: Policy) -> str:
     """Canonical text form; load(save(p)) == p whenever probabilities are
     already 3-decimal values."""
-    lines = [f"seed={policy.master_seed}", f"theta={policy.theta!r}"]
+    merged = validate_policy(policy)
+    lines = [f"seed={int(policy.master_seed)}", f"theta={policy.theta!r}"]
     if policy.soil_bank_path:
         lines.append(f"soil_bank={policy.soil_bank_path}")
-    for entry, values in zip(policy.entries, validate_policy(policy)):
+    for entry, values in zip(policy.entries, merged):
         parts = [entry.name, f"{entry.probability:.3f}"]
         for key in sorted(entry.params):
             # an integer key as merged, so that 2.0 is written as 2

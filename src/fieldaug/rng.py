@@ -16,18 +16,20 @@ draws use the generator's linearity over GF(2): the state transition is a
 256x256 bit matrix T, so lanes started ``SET_STEPS`` draws apart (by powers
 of T**BLOCK, the jump technique of Blackman and Vigna, "Scrambled linear
 pseudorandom number generators", ACM TOMS 2021) can all be stepped at once
-as ``uint64`` arrays. A bulk draw computes exactly the values it returns.
+as ``uint64`` arrays by ``_lane_pass``; the rest are ``next_u64`` calls,
+the one scalar step. A bulk draw computes exactly the values it returns.
 
-A stream set shares one lane pass among many streams: row i of
-``u64s_many(streams, n)`` (and of ``below_many_many``) equals
-``streams[i].u64s(n)``, and each stream ends where that call would leave
-it. The 512 streams of a 16 px synthetic corpus draw their noise in 13
-passes of 42 streams, where they made 512 passes of one. ``prefetch``, the
-only way a stream reads ahead, keeps the rows for the streams' next calls.
-A lane pass's cost is mostly fixed (the jumps to the lane starts and the
-per-step array calls), so ``policy._view_streams`` prefetches the draws of
-views that draw per pixel: a 16 px desk pretraining step draws all its
-views' values in 2 passes, and a 128 px default-policy view in one.
+A stream set shares one lane pass among many streams that hold no
+read-ahead values: row i of ``u64s_many(streams, n)`` (and of
+``below_many_many``) equals ``streams[i].u64s(n)``, and each stream ends
+where that call would leave it. The 512 streams of a 16 px synthetic
+corpus draw their noise in 13 passes of 42 streams, where they made 512
+passes of one. ``prefetch``, the only way a stream reads ahead, keeps the
+rows for the streams' next calls. A lane pass's cost is mostly fixed (the
+jumps to the lane starts and the per-step array calls), so
+``policy._view_streams`` prefetches the draws of views that draw per
+pixel: a 16 px desk pretraining step draws all its views' values in 2
+passes, and a 128 px default-policy view in one.
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _TWO53_INV = 2.0 ** -53
 
-# Lane starts are reached by jumps of BLOCK * 2**k draws. CROSSOVER is the
-# draw count from which seeding and stepping one stream's lanes beats the
-# scalar loop. Measured on a 2-core Xeon VM with CPython 3.11 and numpy 2.4
-# (figures in CHANGES.md).
+# Lane starts are reached by jumps of BLOCK * 2**k draws. CROSSOVER, in
+# whole lanes, is the draw count from which one stream's lanes beat a
+# next_u64 loop: 432 against 468-485 us at 320 draws, and 408-414 against
+# 373-387 us at 256 (medians of 15 alternating rounds, on a 2-core Xeon VM
+# with CPython 3.11 and numpy 2.4).
 BLOCK = 16
-CROSSOVER = 768
+CROSSOVER = 320
 # Draws per lane, for one stream and for many. Measured as above, per
 # stream of 768 draws in passes of 42 streams: 22 us in 32-step lanes, 30
 # in 64-step and 33 in 128-step lanes; 16-step lanes fit only 21 streams
@@ -202,8 +205,10 @@ def _floats(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bounds(k) -> np.ndarray:
+def _bounds(k, n: int) -> np.ndarray:
     k = np.asarray(k, dtype=np.int64)
+    if k.shape not in ((), (n,)):
+        raise ValueError(f"k must be one bound or {n} bounds, got shape {k.shape}")
     if np.logical_or.reduce(k <= 0, axis=None):
         raise ValueError("k must be positive")
     return k
@@ -278,24 +283,6 @@ class RandomStream:
         """Uniform byte; low 8 bits of one u64 draw."""
         return self.next_u64() & 0xFF
 
-    def _s1_words(self, n: int) -> list[int]:
-        """Advance ``n`` draws with scalar arithmetic, returning the s1 word
-        each draw's output is computed from."""
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        words = []
-        append = words.append
-        for _ in range(n):
-            append(s1)
-            t = (s1 << 17) & MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return words
-
     def u64s(self, n: int) -> np.ndarray:
         """``n`` draws as a new uint64 array: the values of ``n`` calls of
         :meth:`next_u64`, after which the next draw is the one those calls
@@ -314,9 +301,7 @@ class RandomStream:
             end = n - (n - done) % SET_STEPS
             _lane_passes([self], out[None, done:end])
             done = end
-        if done < n:
-            out[done:n] = self._s1_words(n - done)
-            _scramble(out[done:n])
+        out[done:] = [self.next_u64() for _ in range(n - done)]
         return out
 
     def uniforms(self, n: int, lo: float, hi: float) -> np.ndarray:
@@ -329,7 +314,7 @@ class RandomStream:
     def below_many(self, n: int, k) -> np.ndarray:
         """``n`` calls of :meth:`next_below` as an int64 array. ``k`` is one
         bound for every draw or an array of ``n`` bounds, one per draw."""
-        k = _bounds(k)  # checked before the stream moves
+        k = _bounds(k, n)  # checked before the stream moves
         return _below(self.u64s(n), k)
 
     def bytes(self, n: int) -> np.ndarray:
@@ -352,33 +337,23 @@ def streams_per_pass(n: int) -> int:
 
 
 def u64s_many(streams: list[RandomStream], n: int) -> np.ndarray:
-    """``n`` draws from each of ``streams`` (distinct streams, at any
-    positions) as a new ``(len(streams), n)`` uint64 array. Row i equals
-    ``streams[i].u64s(n)``, and each stream ends where that call would
-    leave it. Streams holding read-ahead values draw through ``u64s``; the
-    rest share lane passes of ``streams_per_pass(n)`` streams."""
+    """``n`` draws from each of ``streams`` (distinct, at any positions,
+    holding no read-ahead values) as a new ``(len(streams), n)`` uint64
+    array, in lane passes of ``streams_per_pass(n)`` streams: row i equals
+    ``streams[i].u64s(n)``, and each stream ends where that call leaves it."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if len({id(s) for s in streams}) != len(streams):
         raise ValueError("streams must be distinct")
+    if any(s._ahead is not None for s in streams):
+        raise ValueError("streams must hold no read-ahead values")
     out = np.empty((len(streams), n), dtype=_U64)
-    shared = []
-    for i, stream in enumerate(streams):
-        if stream._ahead is None:
-            shared.append(i)
-        else:
-            out[i] = stream.u64s(n)
-    drawn = out if len(shared) == len(streams) else np.empty((len(shared), n), dtype=_U64)
-    _lane_passes([streams[i] for i in shared], drawn)
-    if drawn is not out:
-        out[shared] = drawn
+    _lane_passes(streams, out)
     return out
 
 
 def prefetch(streams: list[RandomStream], n: int) -> None:
     """Keep each row of ``u64s_many(streams, n)`` as its stream's read-ahead."""
-    if any(s._ahead is not None for s in streams):
-        raise ValueError("streams must hold no read-ahead values")
     rows = u64s_many(streams, n)
     for stream, row in zip(streams, rows if n else ()):
         stream._ahead, stream._read = row, 0
@@ -406,5 +381,5 @@ def below_many_many(streams: list[RandomStream], n: int, k) -> np.ndarray:
     """:func:`u64s_many` as ``next_below`` draws: row i equals
     ``streams[i].below_many(n, k)``. ``k`` is one bound for every draw or an
     array of ``n`` bounds, one per draw, shared by every stream."""
-    k = _bounds(k)
+    k = _bounds(k, n)
     return _below(u64s_many(streams, n), k)

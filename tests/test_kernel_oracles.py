@@ -602,11 +602,27 @@ def test_prepare_batch_matches_per_image_reference(sizes):
                           reference_prepare_batch(images, input_size))
 
 
+def reference_keywords(entry):
+    """The ``augment`` keywords of a policy entry: each parameter's default
+    with the entry's overrides, a range ``<key>`` as ``<key>_range``."""
+    keywords = {}
+    for key, (default, _) in P.PARAMETERS[entry.name].items():
+        if isinstance(default, tuple):
+            keywords[f"{key}_range"] = (entry.params.get(f"{key}_min", default[0]),
+                                        entry.params.get(f"{key}_max", default[1]))
+        else:
+            keywords[key] = entry.params.get(key, default)
+    return keywords
+
+
 def test_plan_entries_carry_their_keywords():
     desk = Path(__file__).resolve().parents[1] / "perfbench" / "desk.policy"
     for pol in (P.default_policy(), P.load_policy(desk.read_text())):
         plan = P.compile_policy(pol)
-        for entry in plan.entries + pickle.loads(pickle.dumps(plan)).entries:
-            assert entry.keywords == P._keywords(entry.values)
+        pickled = pickle.loads(pickle.dumps(plan)).entries
+        for entry, compiled, copy in zip(pol.entries, plan.entries, pickled, strict=True):
+            assert compiled.keywords == copy.keywords == reference_keywords(entry)
+            with pytest.raises(TypeError):
+                copy.keywords["x"] = 1
         with pytest.raises(TypeError):
             plan.entries[0].keywords["x"] = 1

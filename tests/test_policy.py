@@ -439,7 +439,7 @@ class TestParameterTable:
         as_int = Policy([PolicyEntry("random_erasing", 1.0, {"max_rects": 2})])
         got = apply_policy(random_image, as_float, RandomStream(11))
         assert np.array_equal(got, apply_policy(random_image, as_int, RandomStream(11)))
-        assert P.compile_policy(as_float).entries[0].values["max_rects"] == 2
+        assert P.compile_policy(as_float).entries[0].keywords["max_rects"] == 2
 
     def test_integral_float_for_integer_key_saves_as_an_integer(self):
         text = save_policy(Policy([PolicyEntry("random_erasing", 1.0, {"max_rects": 2.0})]))
@@ -450,6 +450,37 @@ class TestParameterTable:
         pol = Policy([PolicyEntry("random_erasing", 1.0, {"max_rects": 2.5})])
         with pytest.raises(PolicyError, match="max_rects=2.5 is not an integer"):
             P.compile_policy(pol)
+
+
+class TestSeedType:
+    """A master seed is an integer, Python's or numpy's; a plan and the
+    saved text hold it as a Python int."""
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7", None], ids=["float", "integral-float",
+                                                               "string", "none"])
+    def test_non_integer_seed_rejected(self, seed):
+        pol = Policy([PolicyEntry("mixing", 1.0)], master_seed=seed)
+        with pytest.raises(PolicyError, match=f"seed {seed!r} is not an integer"):
+            P.compile_policy(pol)
+        with pytest.raises(PolicyError, match="seed"):
+            save_policy(pol)
+
+    def test_numpy_integer_seed_gives_the_views_of_its_int(self, plant_image, soil_bank):
+        # drawn in Python int arithmetic: numpy scalar arithmetic would
+        # overflow with a RuntimeWarning, an error here
+        plan = P.compile_policy(default_policy(np.uint64(7)))
+        assert type(plan.master_seed) is int and plan.master_seed == 7
+        got = make_views(plant_image, default_policy(np.uint64(7)), 3, soil_bank=soil_bank)
+        want = make_views(plant_image, default_policy(7), 3, soil_bank=soil_bank)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert save_policy(default_policy(np.uint64(7))) == save_policy(default_policy(7))
+
+    def test_bool_seed_saves_as_an_integer(self):
+        text = save_policy(Policy([PolicyEntry("mixing", 1.0)], master_seed=True))
+        assert text.startswith("seed=1\n")
+        assert load_policy(text).master_seed == 1
+        seed = P.compile_policy(Policy([], master_seed=True)).master_seed
+        assert type(seed) is int and seed == 1
 
 
 class TestRuleParity:
@@ -521,15 +552,15 @@ class TestPlan:
         assert [(e.name, e.probability) for e in plan.entries] == [
             (e.name, e.probability) for e in pol.entries
         ]
-        assert plan.entries[1].values["scale"] == (0.8, au.SCALE_RANGE[1])
+        assert plan.entries[1].keywords["scale_range"] == (0.8, au.SCALE_RANGE[1])
         assert (plan.master_seed, plan.theta, plan.needs_bank) == (3, pol.theta, True)
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.theta = 1.0
         with pytest.raises(TypeError):
-            plan.entries[1].values["scale"] = (1.0, 1.0)
+            plan.entries[1].keywords["scale_range"] = (1.0, 1.0)
         # later edits of the policy do not reach the plan
         pol.entries[1].params["scale_min"] = 1.5
-        assert plan.entries[1].values["scale"] == (0.8, au.SCALE_RANGE[1])
+        assert plan.entries[1].keywords["scale_range"] == (0.8, au.SCALE_RANGE[1])
 
     def test_invalid_policy_does_not_compile(self):
         pol = Policy([PolicyEntry("gaussian_blur", 1.0, {"sigma_min": 0.0})])

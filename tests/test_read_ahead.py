@@ -1,24 +1,30 @@
 """A stream reads ahead in one way only: ``rng.prefetch`` is the only code
 in ``src/fieldaug`` that gives ``RandomStream._ahead`` values, and
 ``policy._view_streams`` is the only code that calls it, so the read-ahead
-rule of the view streams is the whole of it."""
+rule of the view streams is the whole of it. A stream steps in two ways
+only: ``RandomStream.next_u64`` is the one scalar xoshiro step and
+``rng._lane_pass`` the one array step, so they and ``__init__`` are the
+only code that sets the state words."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fieldaug"
+STATE_WORDS = ("_s0", "_s1", "_s2", "_s3")
 
 
 def _sites(path):
-    """``(kind, "<module>.<function>")`` for each assignment of something
-    other than None to an ``_ahead`` attribute ("ahead") and each call of a
-    function named ``prefetch`` ("prefetch") in the file at ``path``."""
+    """``(kind, "<module>.<qualified function>")`` for each assignment of
+    something other than None to an ``_ahead`` attribute ("ahead"), each
+    assignment to a state word attribute ``_s0`` to ``_s3`` ("state") and
+    each call of a function named ``prefetch`` ("prefetch") in the file at
+    ``path``."""
     module = path.stem
     sites = []
 
     def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{module}.{node.name}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
@@ -27,7 +33,7 @@ def _sites(path):
         targets = []
         if isinstance(node, ast.Assign):
             targets = [(target, node.value) for target in node.targets]
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value is not None:
             targets = [(node.target, node.value)]
         while targets:
             target, value = targets.pop()
@@ -38,6 +44,8 @@ def _sites(path):
             elif (isinstance(target, ast.Attribute) and target.attr == "_ahead"
                   and not (isinstance(value, ast.Constant) and value.value is None)):
                 sites.append(("ahead", where))
+            elif isinstance(target, ast.Attribute) and target.attr in STATE_WORDS:
+                sites.append(("state", where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -45,12 +53,21 @@ def _sites(path):
     return sites
 
 
-def _package_sites():
-    return sorted(site for path in sorted(PACKAGE.glob("*.py")) for site in _sites(path))
+def _package_sites(kinds):
+    return sorted(site for path in sorted(PACKAGE.glob("*.py")) for site in _sites(path)
+                  if site[0] in kinds)
 
 
 def test_one_read_ahead_source():
-    assert _package_sites() == [("ahead", "rng.prefetch"), ("prefetch", "policy._view_streams")]
+    assert _package_sites({"ahead", "prefetch"}) == [
+        ("ahead", "rng.prefetch"), ("prefetch", "policy._view_streams")]
+
+
+def test_one_scalar_step():
+    # each function sets the state words once, in one tuple assignment
+    assert _package_sites({"state"}) == sorted(
+        ("state", where) for where in ("rng.RandomStream.__init__", "rng.RandomStream.next_u64",
+                                       "rng._lane_pass") for _ in STATE_WORDS)
 
 
 def test_read_ahead_sources_are_found(tmp_path):
@@ -70,3 +87,20 @@ def test_read_ahead_sources_are_found(tmp_path):
     )
     assert sorted(_sites(path)) == [("ahead", "sneak.fill"), ("ahead", "sneak.fill_both"),
                                     ("prefetch", "sneak.warm"), ("prefetch", "sneak.warm")]
+
+
+def test_state_word_sites_are_found(tmp_path):
+    # a second scalar step, as a method or a function, in plain, tuple and
+    # augmented assignments
+    path = tmp_path / "sneak.py"
+    path.write_text(
+        "class RandomStream:\n"
+        "    def _s1_words(self, n):\n"
+        "        self._s0, self._s1, self._s2, self._s3 = step(self)\n"
+        "def skip(stream):\n"
+        "    stream._s2 = 0\n"
+        "    stream._s3 ^= 1\n"
+        "    stream._ahead = None\n"
+    )
+    assert sorted(_sites(path)) == sorted(
+        [("state", "sneak.RandomStream._s1_words")] * 4 + [("state", "sneak.skip")] * 2)

@@ -217,19 +217,20 @@ def test_one_lane_pass_per_128px_view(monkeypatch):
 
 
 def _count_draw_paths(monkeypatch):
-    """Counts of scalar-loop calls and lane passes from here on."""
+    """Counts of computed scalar draws (``next_u64`` calls on a stream that
+    holds no read-ahead values) and lane passes from here on."""
     counts = {"scalar": 0, "passes": 0}
-    s1_words, lane_pass = RandomStream._s1_words, rng._lane_pass
+    next_u64, lane_pass = RandomStream.next_u64, rng._lane_pass
 
-    def scalar(stream, n):
-        counts["scalar"] += 1
-        return s1_words(stream, n)
+    def scalar(stream):
+        counts["scalar"] += stream._ahead is None
+        return next_u64(stream)
 
     def passes(*args):
         counts["passes"] += 1
         return lane_pass(*args)
 
-    monkeypatch.setattr(RandomStream, "_s1_words", scalar)
+    monkeypatch.setattr(RandomStream, "next_u64", scalar)
     monkeypatch.setattr(rng, "_lane_pass", passes)
     return counts
 
@@ -259,7 +260,7 @@ def _first_desk_step():
 
 def test_desk_view_batch_reads_every_draw_from_its_prefetch(monkeypatch):
     # the first desk step's 128 view streams draw from 2 lane passes and
-    # never run the scalar loop
+    # compute no scalar draw
     args = _first_desk_step()
     counts = _count_draw_paths(monkeypatch)
     tinytrain.view_batches(*args)
@@ -416,35 +417,30 @@ SET_METHODS = {
 
 @st.composite
 def stream_sets(draw):
-    """A draw size, a stream count (at most 500,000 draws in all) and up to
-    three streams to hold read-ahead values."""
+    """A draw size and a stream count, at most 500,000 draws in all."""
     n = draw(st.one_of(st.sampled_from(SET_SIZES), st.integers(0, rng.MAX_PASS + rng.BLOCK)))
-    count = draw(st.integers(0, min(600, 500_000 // max(n, 1))))
-    ahead = draw(st.sets(st.integers(0, count - 1), max_size=3)) if count else set()
-    return n, count, ahead
+    return n, draw(st.integers(0, min(600, 500_000 // max(n, 1))))
 
 
 @settings(max_examples=40, deadline=None)
 @given(sizes=stream_sets(), method=st.sampled_from(sorted(SET_METHODS)),
        seed=st.integers(0, MASK64),
        skips=st.lists(st.integers(0, 3 * rng.BLOCK), min_size=1, max_size=8))
-@example(sizes=(1, 600, {0, 599}), method="u64s_many", seed=0, skips=[0, 5])
-@example(sizes=(768, 600, set()), method="below_many_many", seed=1, skips=[0])
-@example(sizes=(0, 0, set()), method="u64s_many", seed=2, skips=[0])
-@example(sizes=(rng.MAX_PASS, 15, {2}), method="below_many_many_per_draw", seed=3, skips=[1, 0])
-@example(sizes=(rng.MAX_PASS + 1, 3, {1}), method="u64s_many", seed=4, skips=[3])
-@example(sizes=(2 * rng.MAX_PASS + 33, 3, {1}), method="u64s_many", seed=5, skips=[2])
+@example(sizes=(1, 600), method="u64s_many", seed=0, skips=[0, 5])
+@example(sizes=(768, 600), method="below_many_many", seed=1, skips=[0])
+@example(sizes=(0, 0), method="u64s_many", seed=2, skips=[0])
+@example(sizes=(rng.MAX_PASS, 15), method="below_many_many_per_draw", seed=3, skips=[1, 0])
+@example(sizes=(rng.MAX_PASS + 1, 3), method="u64s_many", seed=4, skips=[3])
+@example(sizes=(2 * rng.MAX_PASS + 33, 3), method="u64s_many", seed=5, skips=[2])
 def test_stream_set_rows_equal_per_stream_calls(sizes, method, seed, skips):
-    n, count, ahead = sizes
+    n, count = sizes
     many, each = SET_METHODS[method]
     a = [RandomStream(derive_seed(seed, i)) for i in range(count)]
     b = [RandomStream(derive_seed(seed, i)) for i in range(count)]
     for i, (x, y) in enumerate(zip(a, b)):
-        # mixed positions; a few streams hold read-ahead values
+        # mixed positions
         prelude = skips[i % len(skips)]
         assert x.u64s(prelude).tolist() == y.u64s(prelude).tolist()
-        if i in ahead:
-            rng.prefetch([x], 8192 + i)
     got = many(a, n)
     assert got.shape == (count, n)
     for i, (x, y) in enumerate(zip(a, b)):
@@ -454,14 +450,29 @@ def test_stream_set_rows_equal_per_stream_calls(sizes, method, seed, skips):
 
 def test_stream_set_validation():
     s, t = RandomStream(1), RandomStream(2)
-    with pytest.raises(ValueError):
-        rng.u64s_many([s, t], -1)
-    with pytest.raises(ValueError):
-        rng.u64s_many([s, t, s], 4)
-    with pytest.raises(ValueError):
-        rng.below_many_many([s, t], 2, [4, 0])
+    held = RandomStream(3)
+    rng.prefetch([held], 8192)
+    ahead = held._ahead
+    calls = [
+        lambda: rng.u64s_many([s, t], -1),
+        lambda: rng.u64s_many([s, t, s], 4),
+        lambda: rng.below_many_many([s, t], 2, [4, 0]),
+        # stream sets draw only for streams that hold no read-ahead values
+        lambda: rng.u64s_many([s, held, t], 4),
+        lambda: rng.below_many_many([s, t, held], 4, 3),
+        # bounds are one value or one per draw
+        lambda: rng.below_many_many([s, t], 4, [3, 3, 3]),
+        lambda: rng.below_many_many([s, t], 3, [[2], [1000]]),
+        lambda: s.below_many(4, [3, 3, 3]),
+        lambda: t.below_many(2, [[3, 3]]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
     # a rejected call moves no stream
-    assert s.next_u64() == RandomStream(1).next_u64()
+    assert s._ahead is None and t._ahead is None and held._ahead is ahead and held._read == 0
+    assert (s.next_u64(), t.next_u64()) == (RandomStream(1).next_u64(), RandomStream(2).next_u64())
+    assert held.u64s(8193).tolist() == RandomStream(3).u64s(8193).tolist()
 
 
 PREFETCH_SIZES = [0, 1, rng.SET_STEPS - 1, rng.SET_STEPS, 384]
