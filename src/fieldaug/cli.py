@@ -64,6 +64,11 @@ def _usage(prefix: str = ""):
 # manifests
 # ---------------------------------------------------------------------------
 
+# a backslash and str.splitlines' line breaks, escaped: a value keeps its line
+_ESCAPES = {ord(c): c.encode("unicode_escape").decode()
+            for c in "\\\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 class Manifest:
     def __init__(self, command: str, argv: list[str]):
         self._t0 = time.perf_counter()
@@ -76,10 +81,10 @@ class Manifest:
         self.pairs.append((key, str(value)))
 
     def write(self, path: Path, status: str, error: str = "") -> None:
-        lines = [f"{k}={v}" for k, v in self.pairs]
+        lines = [f"{k}={v.translate(_ESCAPES)}" for k, v in self.pairs]
         lines.append(f"status={status}")
         if error:
-            lines.append(f"error={error}")
+            lines.append(f"error={error.translate(_ESCAPES)}")
         lines.append(f"wall_seconds={time.perf_counter() - self._t0:.6f}")
         _write_files({path: ("\n".join(lines) + "\n").encode()})
 

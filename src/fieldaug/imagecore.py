@@ -13,6 +13,8 @@ lives in :func:`u8_from_float`.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 __all__ = [
@@ -75,23 +77,8 @@ def u8_from_float(values: np.ndarray) -> np.ndarray:
 # netpbm codecs (binary P6 / P5, maxval 255)
 # ---------------------------------------------------------------------------
 
-def _read_header_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c == b"#":
-            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise CodecError(f"truncated header: missing {field}")
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
+# a token after whitespace (bytes.isspace, as \s) and comments; empty at the end
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
 def _parse_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
@@ -100,7 +87,10 @@ def _parse_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
     pos = 2
     dims = []
     for field in ("width", "height", "maxval"):
-        token, pos = _read_header_token(data, pos, field)
+        match = _HEADER_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
+            raise CodecError(f"truncated header: missing {field}")
         try:
             value = int(token)
         except ValueError:
@@ -274,6 +264,8 @@ def bilinear_resize(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """
     img = ensure_u8(img)
     h, w = img.shape[:2]
+    if not all(isinstance(size, (int, np.integer)) for size in (out_w, out_h)):
+        raise ValueError(f"output dimensions must be integers, got {out_w!r}, {out_h!r}")
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be >= 1")
     if (out_w, out_h) == (w, h):

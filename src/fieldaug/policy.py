@@ -322,7 +322,7 @@ def apply_policy(
     ``img``; an entry that fires before any other has changed the image
     receives it, and background invariance uses it.
     ``apply_policy`` prefetches nothing, so on a fresh stream each erasing
-    rectangle of 768 or more fill draws makes its own lane pass, and a view
+    rectangle of 320 or more fill draws makes its own lane pass, and a view
     through :func:`make_views`, which prefetches, is faster.
     """
     plan = compile_policy(policy)

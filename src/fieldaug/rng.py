@@ -14,9 +14,11 @@ arrays holding exactly the values that the same number of scalar calls
 would return, and the next draw is the one those calls would give. Large
 draws use the generator's linearity over GF(2): the state transition is a
 256x256 bit matrix T, so lanes started ``SET_STEPS`` draws apart (by powers
-of T**BLOCK, the jump technique of Blackman and Vigna, "Scrambled linear
+of T**SET_STEPS, the jump technique of Blackman and Vigna, "Scrambled linear
 pseudorandom number generators", ACM TOMS 2021) can all be stepped at once
-as ``uint64`` arrays by ``_lane_pass``; the rest are ``next_u64`` calls,
+as ``uint64`` arrays by ``_lane_pass``. Every lane is ``SET_STEPS`` draws;
+the last ``n % SET_STEPS`` values of a bulk draw, for one stream or for
+each of a set, and every draw below ``CROSSOVER`` are ``next_u64`` calls,
 the one scalar step. A bulk draw computes exactly the values it returns.
 
 A stream set shares one lane pass among many streams that hold no
@@ -48,25 +50,21 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _TWO53_INV = 2.0 ** -53
 
-# Lane starts are reached by jumps of BLOCK * 2**k draws. CROSSOVER, in
-# whole lanes, is the draw count from which one stream's lanes beat a
-# next_u64 loop: 432 against 468-485 us at 320 draws, and 408-414 against
-# 373-387 us at 256 (medians of 15 alternating rounds, on a 2-core Xeon VM
-# with CPython 3.11 and numpy 2.4).
-BLOCK = 16
+# CROSSOVER, in whole lanes, is the draw count from which one stream's
+# lanes beat a next_u64 loop: 432 against 468-485 us at 320 draws, and
+# 408-414 against 373-387 us at 256 (medians of 15 alternating rounds, on
+# a 2-core Xeon VM with CPython 3.11 and numpy 2.4).
 CROSSOVER = 320
 # Draws per lane, for one stream and for many. Measured as above, per
 # stream of 768 draws in passes of 42 streams: 22 us in 32-step lanes, 30
-# in 64-step and 33 in 128-step lanes; 16-step lanes fit only 21 streams
-# under LANES_PER_PASS (30 us), and one stream's below_many(768) 280 us.
-SET_STEPS = 2 * BLOCK
-# Most lanes stepped together in one pass. A pass holds at most MAX_PASS =
-# 32,768 draws (256 KiB per buffer): a 128 px view stream's prefetch
-# (1.5 x 16,384 draws) takes one pass of 768 lanes.
-LANES_PER_PASS = 1024
-MAX_PASS = SET_STEPS * LANES_PER_PASS
+# in 64-step and 33 in 128-step lanes; 30 us in 16-step lanes (21 streams
+# a pass, at 1,024 lanes), and one stream's below_many(768) 280 us.
+SET_STEPS = 32
+# Most draws stepped together in one pass (256 KiB per buffer): a 128 px
+# view stream's prefetch (1.5 x 16,384 draws) takes one pass of 768 lanes.
+MAX_PASS = 32768
 
-# _JUMPS[i] is T**(BLOCK * 2**i) as a (1024, 4) table of u64 words
+# _JUMPS[i] is T**(SET_STEPS * 2**i) as a (1024, 4) table of u64 words
 # (32 KiB): row 16p + v is the advanced state of a state whose only set
 # bits are the nibble v at bits 4p..4p+3. Built on the first lane pass
 # that needs them, under the lock.
@@ -94,15 +92,15 @@ def derive_seed(stream_seed: int, index: int) -> int:
     return splitmix64(x)
 
 
-def _run_lanes(state: np.ndarray, steps: int, s1_words=None) -> None:
-    """Advance every lane ``steps`` draws, in place. ``state`` holds the
+def _run_lanes(state: np.ndarray, s1_words=None) -> None:
+    """Advance every lane SET_STEPS draws, in place. ``state`` holds the
     lanes' state words as the four rows of a (4, ...) array; with
     ``s1_words``, ``s1_words[i]`` receives the lanes' s1 words before step i."""
     s0, s1, s2, s3 = state
     low, high, crossed = state[:2], state[2:], state[:1:-1]
     t = np.empty_like(s0)
     xor, shl, shr, bor = np.bitwise_xor, np.left_shift, np.right_shift, np.bitwise_or
-    for i in range(steps):
+    for i in range(SET_STEPS):
         if s1_words is not None:
             s1_words[i] = s1
         shl(s1, np.uint64(17), out=t)
@@ -153,7 +151,7 @@ def _nibble_table(columns: np.ndarray) -> np.ndarray:
 
 
 def _jump(level: int) -> np.ndarray:
-    """Nibble table of T**(BLOCK * 2**level), built and cached on first use."""
+    """Nibble table of T**(SET_STEPS * 2**level), built and cached on first use."""
     with _JUMPS_LOCK:
         while len(_JUMPS) <= level:
             if _JUMPS:
@@ -161,36 +159,34 @@ def _jump(level: int) -> np.ndarray:
                 table = _JUMPS[-1]
                 columns = _apply(table, table.reshape(64, 16, 4)[:, [1, 2, 4, 8]].reshape(256, 4))
             else:
-                # step each basis state BLOCK times
+                # step each basis state SET_STEPS times
                 k = np.arange(256)
                 basis = np.zeros((4, 256), dtype=_U64)
                 basis[k // 64, k] = np.uint64(1) << (k % 64).astype(_U64)
-                _run_lanes(basis, BLOCK)
+                _run_lanes(basis)
                 columns = basis.T
             _JUMPS.append(_nibble_table(columns))
         return _JUMPS[level]
 
 
-def _lane_pass(streams: list, steps: int, out: np.ndarray) -> None:
-    """Fill row i of ``out`` with the next draws of ``streams[i]``, from one
-    lane per ``steps`` draws: ``out.shape[1]`` is a multiple of ``steps``,
-    which is BLOCK times a power of two when a stream has more than one
-    lane. The lanes of every stream are stepped together, and each stream
-    is left after its draws. The streams must hold no read-ahead values."""
-    m, lanes = len(streams), out.shape[1] // steps
+def _lane_pass(streams: list, out: np.ndarray) -> None:
+    """Fill row i of ``out`` with the next draws of ``streams[i]``, one lane
+    per SET_STEPS of them, all stepped together. Each stream is left after
+    its draws, and must hold no read-ahead values."""
+    m, lanes = len(streams), out.shape[1] // SET_STEPS
     starts = np.empty((lanes, m, 4), dtype=_U64)
     starts[0] = [(s._s0, s._s1, s._s2, s._s3) for s in streams]
-    # _jump(k) moves BLOCK * 2**k draws; each level doubles every stream's lanes
-    level, have = (steps // BLOCK).bit_length() - 1, 1
+    # _jump(k) moves SET_STEPS * 2**k draws; each level doubles every stream's lanes
+    level, have = 0, 1
     while have < lanes:
         more = min(have, lanes - have)
         jumped = _apply(_jump(level), starts[:more].reshape(-1, 4))
         starts[have:have + more] = jumped.reshape(more, m, 4)
         level, have = level + 1, have + more
     state = np.ascontiguousarray(starts.transpose(2, 0, 1))
-    # step i writes draw l * steps + i of every stream's lane l into out
-    lane_words = out.reshape(m, lanes, steps, copy=False).transpose(2, 1, 0)
-    _run_lanes(state, steps, lane_words)
+    # step i writes draw l * SET_STEPS + i of every stream's lane l into out
+    lane_words = out.reshape(m, lanes, SET_STEPS, copy=False).transpose(2, 1, 0)
+    _run_lanes(state, lane_words)
     # each stream's last lane ends where its scalar draws would
     for stream, end in zip(streams, state[:, -1].T.tolist()):
         stream._s0, stream._s1, stream._s2, stream._s3 = end
@@ -298,10 +294,9 @@ class RandomStream:
             if self._read == len(ahead):
                 self._ahead = None
         if n - done >= CROSSOVER:
-            end = n - (n - done) % SET_STEPS
-            _lane_passes([self], out[None, done:end])
-            done = end
-        out[done:] = [self.next_u64() for _ in range(n - done)]
+            _lane_passes([self], out[None, done:])
+        else:
+            out[done:] = [self.next_u64() for _ in range(n - done)]
         return out
 
     def uniforms(self, n: int, lo: float, hi: float) -> np.ndarray:
@@ -330,10 +325,9 @@ class RandomStream:
 
 def streams_per_pass(n: int) -> int:
     """How many streams :func:`u64s_many` draws ``n`` values for in one
-    lane pass: at most MAX_PASS draws and LANES_PER_PASS lanes, and at
-    least one stream."""
-    lanes = n // SET_STEPS
-    return max(1, min(MAX_PASS // max(n, 1), LANES_PER_PASS // max(lanes, 1)))
+    lane pass: at least one, and at most MAX_PASS draws, ``n`` counting as
+    at least SET_STEPS."""
+    return max(1, MAX_PASS // max(n, SET_STEPS))
 
 
 def u64s_many(streams: list[RandomStream], n: int) -> np.ndarray:
@@ -361,20 +355,16 @@ def prefetch(streams: list[RandomStream], n: int) -> None:
 
 def _lane_passes(streams: list, out: np.ndarray) -> None:
     """Fill row i of ``out`` with the next draws of ``streams[i]``, which
-    holds no read-ahead values: the one place a draw becomes lane passes,
-    of at most MAX_PASS draws per stream, in SET_STEPS-draw lanes and then
-    one shorter lane per stream."""
-    group = streams_per_pass(min(out.shape[1], MAX_PASS))
+    holds no read-ahead values: the one place a draw of n becomes lane
+    passes (at most MAX_PASS draws per stream) and n % SET_STEPS next_u64 calls."""
+    n, tail = out.shape[1], out.shape[1] % SET_STEPS
+    group = streams_per_pass(min(n, MAX_PASS))
     for start in range(0, len(streams), group):
-        members = streams[start:start + group]
-        for column in range(0, out.shape[1], MAX_PASS):
-            rows = out[start:start + group, column:column + MAX_PASS]
-            head = rows.shape[1] - rows.shape[1] % SET_STEPS
-            if head:
-                _lane_pass(members, SET_STEPS, rows[:, :head])
-            if head < rows.shape[1]:
-                # one more lane per stream, from where its lanes ended
-                _lane_pass(members, rows.shape[1] - head, rows[:, head:])
+        rows = out[start:start + group, :n - tail]
+        for column in range(0, n - tail, MAX_PASS):
+            _lane_pass(streams[start:start + group], rows[:, column:column + MAX_PASS])
+    for stream, row in zip(streams, out if tail else ()):
+        row[n - tail:] = [stream.next_u64() for _ in range(tail)]
 
 
 def below_many_many(streams: list[RandomStream], n: int, k) -> np.ndarray:

@@ -89,8 +89,8 @@ def bt_loss(c: np.ndarray, lam: float = DEFAULT_LAMBDA) -> float:
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"expected square matrix, got shape {c.shape}")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     diag = np.diag(c)
     return float(((1.0 - diag) ** 2).sum() + lam * ((c - np.diag(diag)) ** 2).sum())
 
@@ -102,12 +102,12 @@ def _bt_core(z1: np.ndarray, z2: np.ndarray, lam: float):
     y1, _, sigma1, denom1 = _normalize_cache(z1)
     y2, _, sigma2, denom2 = _normalize_cache(z2)
     c = y1.T @ y2 / n
-
+    loss = bt_loss(c, lam)  # checks lam before the gradient uses it
     g_c = 2.0 * lam * c
     np.fill_diagonal(g_c, -2.0 * (1.0 - np.diag(c)))
     gz1 = _normalize_backward(y2 @ g_c.T / n, y1, sigma1, denom1)
     gz2 = _normalize_backward(y1 @ g_c / n, y2, sigma2, denom2)
-    return bt_loss(c, lam), gz1, gz2, c
+    return loss, gz1, gz2, c
 
 
 def bt_loss_grad(

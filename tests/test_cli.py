@@ -996,6 +996,22 @@ class TestManifestOnFailure:
         text = manifest.read_text()
         assert "status=error" in text and "error=" in text
 
+    @pytest.mark.parametrize("char", ["\\", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                                      "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_values_stay_on_their_lines(self, tmp_path, char):
+        # a directory name holding a line break cannot add or split a line
+        # (str.splitlines breaks at each of these but the backslash)
+        manifest = tmp_path / "m.txt"
+        missing = tmp_path / f"x{char}failed=0"
+        code = cli.main(["augment", "--input", str(missing), "--output", str(tmp_path / "out"),
+                         "--policy", str(tmp_path / "policy.txt"), "--manifest", str(manifest)])
+        assert code == 2
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        assert [line.split("=", 1)[0] for line in lines] == [
+            "command", "argv", "status", "error", "wall_seconds"]
+        escaped = str(missing).encode("unicode_escape").decode()
+        assert escaped in lines[1] and escaped in lines[3]
+
 
 class TestInterruptedWrite:
     """A write that fails partway leaves neither a partial target nor a

@@ -159,6 +159,15 @@ class TestResize:
         assert out.shape == (8, 10, 3)
         assert np.all(out == 42)
 
+    @pytest.mark.parametrize("size", [(3.7, 2), (3, 2.2), (3.0, 2), (np.float64(3), 2), ("3", 2)])
+    def test_rejects_sizes_that_are_not_integers(self, size):
+        with pytest.raises(ValueError, match="must be integers"):
+            ic.bilinear_resize(np.zeros((5, 7, 3), np.uint8), *size)
+
+    def test_numpy_integer_sizes(self, random_image):
+        out = ic.bilinear_resize(random_image, np.int64(31), np.uint8(9))
+        assert np.array_equal(out, ic.bilinear_resize(random_image, 31, 9))
+
 
 class TestFlips:
     def test_involutions(self, random_image):

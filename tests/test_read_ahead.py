@@ -4,7 +4,8 @@ in ``src/fieldaug`` that gives ``RandomStream._ahead`` values, and
 rule of the view streams is the whole of it. A stream steps in two ways
 only: ``RandomStream.next_u64`` is the one scalar xoshiro step and
 ``rng._lane_pass`` the one array step, so they and ``__init__`` are the
-only code that sets the state words."""
+only code that sets the state words. ``rng._lane_passes`` is the one
+planner: the only code that calls ``_lane_pass``."""
 
 import ast
 from pathlib import Path
@@ -16,9 +17,9 @@ STATE_WORDS = ("_s0", "_s1", "_s2", "_s3")
 def _sites(path):
     """``(kind, "<module>.<qualified function>")`` for each assignment of
     something other than None to an ``_ahead`` attribute ("ahead"), each
-    assignment to a state word attribute ``_s0`` to ``_s3`` ("state") and
-    each call of a function named ``prefetch`` ("prefetch") in the file at
-    ``path``."""
+    assignment to a state word attribute ``_s0`` to ``_s3`` ("state"), each
+    call of a function named ``prefetch`` ("prefetch") and each call of a
+    function named ``_lane_pass`` ("lane_pass") in the file at ``path``."""
     module = path.stem
     sites = []
 
@@ -28,8 +29,8 @@ def _sites(path):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "prefetch":
-                sites.append(("prefetch", where))
+            if name in ("prefetch", "_lane_pass"):
+                sites.append((name.lstrip("_"), where))
         targets = []
         if isinstance(node, ast.Assign):
             targets = [(target, node.value) for target in node.targets]
@@ -70,6 +71,10 @@ def test_one_scalar_step():
                                        "rng._lane_pass") for _ in STATE_WORDS)
 
 
+def test_one_planner():
+    assert _package_sites({"lane_pass"}) == [("lane_pass", "rng._lane_passes")]
+
+
 def test_read_ahead_sources_are_found(tmp_path):
     # the check above sees values stored by any function, in plain and tuple
     # assignments, and prefetch called by name or through its module
@@ -104,3 +109,19 @@ def test_state_word_sites_are_found(tmp_path):
     )
     assert sorted(_sites(path)) == sorted(
         [("state", "sneak.RandomStream._s1_words")] * 4 + [("state", "sneak.skip")] * 2)
+
+
+def test_lane_pass_calls_are_found(tmp_path):
+    # a second planner, as a method or a function, calling the lane pass by
+    # name or through its module
+    path = tmp_path / "sneak.py"
+    path.write_text(
+        "class Sampler:\n"
+        "    def draw(self, streams, out):\n"
+        "        rng._lane_pass(streams, out)\n"
+        "def plan(streams, out):\n"
+        "    _lane_pass(streams, out[:, :32])\n"
+        "    _lane_passes(streams, out)\n"
+    )
+    assert sorted(_sites(path)) == [("lane_pass", "sneak.Sampler.draw"),
+                                    ("lane_pass", "sneak.plan")]

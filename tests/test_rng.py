@@ -12,7 +12,7 @@ from fieldaug import augment, policy, rng, tinytrain
 from fieldaug.rng import MASK64, RandomStream, derive_seed, splitmix64
 
 # half of MAX_PASS, the most draws per stream in one lane pass
-PASS = rng.LANES_PER_PASS * rng.BLOCK
+PASS = rng.MAX_PASS // 2
 
 
 def test_same_seed_same_sequence():
@@ -89,7 +89,7 @@ def test_shuffle_is_permutation():
 
 
 BULK_SIZES = sorted({
-    0, 1, rng.BLOCK - 1, rng.BLOCK, rng.BLOCK + 1,
+    0, 1, 15, 16, 17,
     rng.CROSSOVER - 1, rng.CROSSOVER, rng.CROSSOVER + 1, 16384, 49152,
     PASS - 1, PASS + 1, 2 * PASS + 1,
     # either side of 8,192, and 8,191 short of two passes
@@ -166,9 +166,9 @@ INTERLEAVED = {
 }
 
 DRAW_SIZES = st.one_of(
-    st.integers(0, 3 * rng.BLOCK),
+    st.integers(0, 3 * 16),
     st.sampled_from(BULK_SIZES),
-    st.integers(0, 2 * PASS + rng.BLOCK),
+    st.integers(0, 2 * PASS + 16),
 )
 
 
@@ -206,9 +206,9 @@ def test_one_lane_pass_per_128px_view(monkeypatch):
     passes = []
     lane_pass = rng._lane_pass
 
-    def counted(streams, steps, out):
+    def counted(streams, out):
         passes.append(out.size)
-        return lane_pass(streams, steps, out)
+        return lane_pass(streams, out)
 
     monkeypatch.setattr(rng, "_lane_pass", counted)
     for i, img in enumerate(corpus):
@@ -371,31 +371,26 @@ PLANNED_DRAWS += [(count, n) for count in (1, 3, 42) for n in (5, 773, rng.MAX_P
 
 @pytest.mark.parametrize("count, n", PLANNED_DRAWS)
 def test_every_lane_pass_has_set_steps_lanes(monkeypatch, count, n):
-    # one planner for one stream and for many: full lanes are SET_STEPS
-    # draws, each stream gets at most one shorter tail lane, and no pass
-    # exceeds MAX_PASS draws per stream or LANES_PER_PASS lanes
+    # one planner for one stream and for many: every pass is made of whole
+    # SET_STEPS-draw lanes within MAX_PASS draws, and a draw of fewer than
+    # SET_STEPS values makes no pass (its values are next_u64 calls)
     streams = [RandomStream(derive_seed(7, i)) for i in range(count or 1)]
     passes = []
     lane_pass = rng._lane_pass
 
-    def counted(members, steps, out):
-        passes.append((list(members), steps, out.shape[1]))
-        return lane_pass(members, steps, out)
+    def counted(members, out):
+        passes.append((list(members), out.shape[1]))
+        return lane_pass(members, out)
 
     monkeypatch.setattr(rng, "_lane_pass", counted)
     if count is None:
         streams[0].u64s(n)
     else:
         rng.u64s_many(streams, n)
-    assert passes
-    tails = []
-    for members, steps, width in passes:
-        assert width <= rng.MAX_PASS
-        assert len(members) * (width // steps) <= rng.LANES_PER_PASS
-        if steps != rng.SET_STEPS:
-            assert steps == width < rng.SET_STEPS
-            tails += [id(s) for s in members]
-    assert len(tails) == len(set(tails))
+    assert bool(passes) == (n >= rng.SET_STEPS)
+    for members, width in passes:
+        assert width > 0 and width % rng.SET_STEPS == 0
+        assert len(members) * width <= rng.MAX_PASS
 
 
 SET_SIZES = sorted({
@@ -418,14 +413,14 @@ SET_METHODS = {
 @st.composite
 def stream_sets(draw):
     """A draw size and a stream count, at most 500,000 draws in all."""
-    n = draw(st.one_of(st.sampled_from(SET_SIZES), st.integers(0, rng.MAX_PASS + rng.BLOCK)))
+    n = draw(st.one_of(st.sampled_from(SET_SIZES), st.integers(0, rng.MAX_PASS + 16)))
     return n, draw(st.integers(0, min(600, 500_000 // max(n, 1))))
 
 
 @settings(max_examples=40, deadline=None)
 @given(sizes=stream_sets(), method=st.sampled_from(sorted(SET_METHODS)),
        seed=st.integers(0, MASK64),
-       skips=st.lists(st.integers(0, 3 * rng.BLOCK), min_size=1, max_size=8))
+       skips=st.lists(st.integers(0, 3 * 16), min_size=1, max_size=8))
 @example(sizes=(1, 600), method="u64s_many", seed=0, skips=[0, 5])
 @example(sizes=(768, 600), method="below_many_many", seed=1, skips=[0])
 @example(sizes=(0, 0), method="u64s_many", seed=2, skips=[0])
@@ -481,7 +476,7 @@ PREFETCH_SIZES = [0, 1, rng.SET_STEPS - 1, rng.SET_STEPS, 384]
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, MASK64),
        n=st.one_of(st.sampled_from(PREFETCH_SIZES), st.integers(0, 2 * 384)),
-       count=st.integers(1, 3), skip=st.integers(0, 3 * rng.BLOCK),
+       count=st.integers(1, 3), skip=st.integers(0, 3 * 16),
        calls=st.lists(st.tuples(st.sampled_from(sorted(INTERLEAVED)), DRAW_SIZES), max_size=6))
 # calls that end inside, at and past the end of the prefetched draws
 @example(seed=1, n=384, count=3, skip=5,

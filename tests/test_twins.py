@@ -137,6 +137,14 @@ class TestLoss:
         with pytest.raises(ValueError, match="lambda"):
             tw.bt_loss(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_lambda_not_positive_and_finite(self, lam):
+        z = np.random.default_rng(0).standard_normal((4, 2))
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            tw.bt_loss(np.eye(2), lam)
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            tw.bt_loss_grad(z, z[::-1], lam)
+
 
 class TestGradient:
     def test_matches_finite_differences(self, rng):
