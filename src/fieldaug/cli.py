@@ -145,7 +145,8 @@ def _soil_bank(policy_path: Path, pol: Policy, needed: bool,
             bank_dir = policy_path.parent / bank_dir
         bank = augment.build_soil_bank(_read_ppms(bank_dir), pol.theta)
         if len(bank) == 0:
-            raise UsageError(f"soil bank {bank_dir} admitted no images")
+            raise UsageError(f"soil bank {bank_dir} admitted no images: no image has a vegetation "
+                             f"fraction below {augment.SOIL_MAX_FRACTION} at theta {pol.theta}")
         return bank
     if synthetic is None:
         raise UsageError(
@@ -554,16 +555,15 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
         cfg.validate()
     if args.names is not None:
         sweep_names = tuple(n.strip() for n in args.names.split(","))
-        for i, n in enumerate(sweep_names):
-            if n not in AUGMENTATION_NAMES:
-                raise UsageError(f"unknown augmentation {n!r} in --names")
-            if n in sweep_names[:i]:
-                raise UsageError(f"augmentation {n!r} repeated in --names")
     elif args.full:
         sweep_names = tuple(e.name for e in base.entries[:3])
     else:
         sweep_names = AUGMENTATION_NAMES
-    bank = _soil_bank(policy_path, base, "background_invariance" in sweep_names,
+    if not sweep_names:
+        raise UsageError(f"{policy_path}: policy has no entries to sweep; name them in --names")
+    with _usage("--names: "):
+        swept = _cell_policy(base, sweep_names)
+    bank = _soil_bank(policy_path, base, swept.needs_bank,
                       cfg if args.synthetic is not None else None)
 
     dataset = _load_dataset(args, cfg)
@@ -581,11 +581,10 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
                   for a in sweep_names for b in sweep_names}
     else:
         orders = {o: f"order {'+'.join(o)}:" for o in itertools.permutations(sweep_names)}
-    proxy = ("loss", "diag", "offdiag").index(args.metric_proxy)
     cells = {}
     for order, label in orders.items():
         cells[order] = _run_cell(dataset, _cell_policy(base, order), bank, cfg)
-        print(f"{label} {args.metric_proxy}={cells[order][proxy]:.4f}")
+        print(label + " loss={:.4f} diag={:.4f} offdiag={:.4f}".format(*cells[order]))
     tables = {"cells.csv": ["order,loss,diag_mean,offdiag_mean"]}
     tables["cells.csv"] += [f"{'+'.join(o)}," + ",".join(map(repr, cell))
                             for o, cell in cells.items()]
@@ -733,64 +732,61 @@ def _build_parser() -> argparse.ArgumentParser:
                     "self-supervised pretraining, and segmentation metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options several subcommands share, each defined once
+    manifest = argparse.ArgumentParser(add_help=False)
+    manifest.add_argument("--manifest", default=None)
+    policy_run = argparse.ArgumentParser(add_help=False)
+    policy_run.add_argument("--policy", required=True, help="policy config file")
+    policy_run.add_argument("--seed", type=int, default=None,
+                            help="override the policy master seed")
+    images = argparse.ArgumentParser(add_help=False)
+    images.add_argument("--input", required=True, help="directory of .ppm images")
+    images.add_argument("--workers", type=_at_least_one, default=1)
+    training = argparse.ArgumentParser(add_help=False)
+    group = training.add_mutually_exclusive_group(required=True)
+    group.add_argument("--data", help="directory of .ppm images")
+    group.add_argument("--synthetic", type=_at_least_one,
+                       help="generate this many synthetic plant images instead "
+                            "(also synthesizes a soil bank if the policy names none)")
 
-    p = sub.add_parser("augment", help="write two augmented views per input image")
-    p.add_argument("--input", required=True, help="directory of .ppm images")
+    def command(name, handler, summary, parents=()):
+        """A subcommand that takes ``--manifest`` and runs ``handler``."""
+        p = sub.add_parser(name, help=summary, parents=[*parents, manifest])
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("augment", _cmd_augment, "write two augmented views per input image",
+                [images, policy_run])
     p.add_argument("--output", required=True, help="output directory for view files")
-    p.add_argument("--policy", required=True, help="policy config file")
-    p.add_argument("--seed", type=int, default=None, help="override the policy master seed")
-    p.add_argument("--workers", type=_at_least_one, default=1)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(handler=_cmd_augment)
 
-    p = sub.add_parser("soilbank", help="filter images into a low-vegetation soil bank")
+    p = command("soilbank", _cmd_soilbank, "filter images into a low-vegetation soil bank")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--theta", type=_finite, default=0.0)
     p.add_argument("--max-fraction", type=_fraction, default=augment.SOIL_MAX_FRACTION)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(handler=_cmd_soilbank)
 
-    p = sub.add_parser("pretrain", help="run the desk-scale self-supervised loop")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--data", help="directory of .ppm images")
-    group.add_argument("--synthetic", type=int,
-                       help="generate this many synthetic plant images instead "
-                            "(also synthesizes a soil bank if the policy names none)")
+    p = command("pretrain", _cmd_pretrain, "run the desk-scale self-supervised loop", [training])
     p.add_argument("--policy", required=True)
     p.add_argument("--config", default=None, help="TrainConfig key=value file")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(handler=_cmd_pretrain)
 
-    p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
+    p = command("gradcheck", _cmd_gradcheck,
+                "verify analytic gradients against finite differences")
     p.add_argument("--trials", type=_at_least_one, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(handler=_cmd_gradcheck)
 
-    p = sub.add_parser("bench", help="measure augmentation throughput")
-    p.add_argument("--input", required=True)
-    p.add_argument("--policy", required=True)
-    p.add_argument("--workers", type=_at_least_one, default=1)
+    p = command("bench", _cmd_bench, "measure augmentation throughput", [images, policy_run])
     p.add_argument("--repeat", type=_at_least_one, default=3)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(handler=_cmd_bench)
 
-    p = sub.add_parser("order-sweep",
-                       help="train one short run per augmentation ordering and "
-                            "report proxy objectives (not the reference mIoU)")
+    p = command("order-sweep", _cmd_order_sweep,
+                "train one short run per augmentation ordering and report proxy "
+                "objectives (not the reference mIoU)", [policy_run, training])
     p.add_argument("--pairs", action="store_true",
                    help="all ordered pairs plus single-augmentation diagonal (6x6 grid)")
     p.add_argument("--full", action="store_true",
                    help="all permutations of --names (default: first 3 policy entries)")
     p.add_argument("--names", default=None, help="comma list of augmentations (--full only)")
-    p.add_argument("--policy", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--data")
-    group.add_argument("--synthetic", type=int)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--steps", type=int, default=30)
     p.add_argument("--batch", type=int, default=16)
@@ -798,27 +794,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-size", type=int, default=16)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--lam", type=float, default=0.2)
-    p.add_argument("--metric-proxy", choices=("offdiag", "loss", "diag"),
-                   default="offdiag",
-                   help="proxy highlighted in the per-cell summary lines")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(handler=_cmd_order_sweep)
 
-    p = sub.add_parser("eval", help="evaluate predictions against ground truth")
+    p = command("eval", _cmd_eval, "evaluate predictions against ground truth")
     p.add_argument("--task", choices=("semantic", "instance"), required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--iou-threshold", type=_fraction, default=0.5)
     p.add_argument("--csv", default=None, help="write the CSV here instead of stdout")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(handler=_cmd_eval)
 
     return parser
 
 
 def _default_manifest_path(args) -> Path:
-    if getattr(args, "manifest", None):
+    if args.manifest:
         return Path(args.manifest)
     if args.command == "augment" or args.command == "soilbank":
         return Path(str(Path(args.output)) + ".manifest.txt")

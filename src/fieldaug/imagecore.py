@@ -91,11 +91,9 @@ def _parse_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
         token, pos = match[1], match.end()
         if not token:
             raise CodecError(f"truncated header: missing {field}")
-        try:
-            value = int(token)
-        except ValueError:
-            raise CodecError(f"invalid {field}: {token!r}") from None
-        dims.append(value)
+        if not token.isdigit():
+            raise CodecError(f"invalid {field}: {token!r}")
+        dims.append(int(token))
     width, height, maxval = dims
     if width < 1:
         raise CodecError(f"invalid width: {width}")

@@ -257,6 +257,9 @@ def validate_policy(policy: Policy, lines: dict | None = None) -> list[dict]:
         merged.append(_entry_values(entry, where.get(index, "")))
     if not math.isfinite(policy.theta):
         raise PolicyError(f"theta={policy.theta} is not finite{where.get('theta', '')}")
+    path = policy.soil_bank_path
+    if path and (path.splitlines() != [path] or path != path.strip()):
+        raise PolicyError(f"soil_bank {path!r} has a line break or surrounding whitespace")
     if not isinstance(policy.master_seed, (int, np.integer)):
         raise PolicyError(f"seed {policy.master_seed!r} is not an integer{where.get('seed', '')}")
     if not 0 <= policy.master_seed < 2 ** 64:
@@ -441,14 +444,15 @@ def save_policy(policy: Policy) -> str:
     """Canonical text form; load(save(p)) == p whenever probabilities are
     already 3-decimal values."""
     merged = validate_policy(policy)
-    lines = [f"seed={int(policy.master_seed)}", f"theta={policy.theta!r}"]
+    lines = [f"seed={int(policy.master_seed)}", f"theta={float(policy.theta)!r}"]
     if policy.soil_bank_path:
         lines.append(f"soil_bank={policy.soil_bank_path}")
     for entry, values in zip(policy.entries, merged):
         parts = [entry.name, f"{entry.probability:.3f}"]
         for key in sorted(entry.params):
-            # an integer key as merged, so that 2.0 is written as 2
+            # an integer key as merged, so that 2.0 is written as 2, and any
+            # other as a Python float, so that np.float64(0.5) is written as 0.5
             value = values.get(key, entry.params[key])
-            parts.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
+            parts.append(f"{key}={value}" if type(value) is int else f"{key}={float(value)!r}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

@@ -607,6 +607,13 @@ def _noise_images(streams: list[RandomStream], size: int, bounds, offsets) -> li
     return images
 
 
+def _image_streams(count: int, seed: int) -> list[RandomStream]:
+    """The stream of each of ``count`` synthetic images; a negative count is a ValueError."""
+    if count < 0:
+        raise ValueError(f"image count must be >= 0, got {count}")
+    return [RandomStream(derive_seed(seed, i)) for i in range(count)]
+
+
 def make_synthetic_soil(count: int, size: int = 16, seed: int = 0) -> list[np.ndarray]:
     """Soil-only candidates for bank building; filter with
     :func:`fieldaug.augment.build_soil_bank` (a minority trip the
@@ -616,7 +623,7 @@ def make_synthetic_soil(count: int, size: int = 16, seed: int = 0) -> list[np.nd
     standardization roughly half the pixels of any non-constant image have
     positive excess green, and only spatially coherent regions survive the
     mask refinement."""
-    streams = [RandomStream(derive_seed(seed, i)) for i in range(count)]
+    streams = _image_streams(count, seed)
     return _noise_images(streams, size, np.tile((50, 40, 35), size * size), (100, 70, 40))
 
 
@@ -633,7 +640,7 @@ def make_synthetic_corpus(count: int, size: int = 16, seed: int = 0) -> list[np.
     Each image's stream draws its base color, its noise, then its blobs;
     streams are independent, so every base is drawn first, the noise of
     many images shares lane passes, and the blobs come last."""
-    streams = [RandomStream(derive_seed(seed, i)) for i in range(count)]
+    streams = _image_streams(count, seed)
     bases = np.array([(60 + s.next_below(140), 50 + s.next_below(120), 30 + s.next_below(110))
                       for s in streams], dtype=np.int64).reshape(count, 3)
     images = _noise_images(streams, size, 20, bases)

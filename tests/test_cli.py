@@ -1,3 +1,4 @@
+import argparse
 import functools
 import multiprocessing
 import os
@@ -301,6 +302,22 @@ class TestSoilbankCommand:
                          "--output", str(tmp_path / "bank")]) == 0
         assert sorted(reads) == ["soil_0.ppm", "soil_1.ppm", "soil_2.ppm"]
         assert sorted(p.name for p in (tmp_path / "bank").glob("*.ppm")) == sorted(reads)
+
+    def test_bank_admitted_again_at_load_names_the_rule(self, tmp_path, capsys):
+        # soilbank takes any --max-fraction; a run that loads the bank admits
+        # its images again at the policy's theta and SOIL_MAX_FRACTION
+        write_corpus(tmp_path / "in", count=6)
+        assert cli.main(["soilbank", "--input", str(tmp_path / "in"), "--output",
+                         str(tmp_path / "bank"), "--max-fraction", "1.0"]) == 0
+        assert len(list((tmp_path / "bank").glob("*.ppm"))) == 6
+        write_policy(tmp_path / "policy.txt", tmp_path / "bank")
+        capsys.readouterr()
+        assert cli.main(["augment", "--input", str(tmp_path / "in"), "--output",
+                         str(tmp_path / "out"), "--policy", str(tmp_path / "policy.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: soil bank {tmp_path / 'bank'} admitted no images: no image has a "
+            "vegetation fraction below 0.05 at theta 0.0\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestInputDirectory:
@@ -642,6 +659,28 @@ class TestBenchCommand:
         assert captured.err.startswith(f"error: {bad}: ")
 
 
+class TestSharedOptions:
+    SHARED = {
+        "--manifest": ("augment", "soilbank", "pretrain", "gradcheck", "bench", "order-sweep",
+                       "eval"),
+        "--policy": ("augment", "bench", "order-sweep"),
+        "--seed": ("augment", "bench", "order-sweep"),
+        "--input": ("augment", "bench"),
+        "--workers": ("augment", "bench"),
+        "--data": ("pretrain", "order-sweep"),
+        "--synthetic": ("pretrain", "order-sweep"),
+    }
+
+    @pytest.mark.parametrize("flag", SHARED)
+    def test_each_shared_option_is_one_action(self, flag):
+        # one definition: the same argparse action in every subcommand sharing it
+        [commands] = [a.choices for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        assert len(commands) == 7
+        actions = [commands[name]._option_string_actions[flag] for name in self.SHARED[flag]]
+        assert all(action is actions[0] for action in actions)
+
+
 class TestCountFlags:
     @pytest.mark.parametrize("argv", [
         ["bench", "--repeat", "0"],
@@ -652,6 +691,9 @@ class TestCountFlags:
         # gradcheck takes no --input or --policy; the bad count fails first
         ["gradcheck", "--trials", "0"],
         ["gradcheck", "--trials", "-3"],
+        ["pretrain", "--synthetic", "0", "--out", "model.ckpt"],
+        ["pretrain", "--synthetic", "-5", "--out", "model.ckpt"],
+        ["order-sweep", "--full", "--synthetic", "-5", "--out-dir", "sweep"],
     ])
     def test_counts_below_one_rejected_before_any_output(self, workspace, capsys, argv):
         argv = argv + ["--input", str(workspace / "in"), "--policy", str(workspace / "policy.txt")]
@@ -707,7 +749,7 @@ class TestCountFlags:
         (["--batch", "1"], "batch_size must be >= 2"),
         (["--steps", "0"], "max_steps must be positive"),
         (["--lr", "nan"], "learning_rate must be finite, got nan"),
-        (["--names", "gaussian_blur,gaussian_blur"], "'gaussian_blur' repeated in --names"),
+        (["--names", "gaussian_blur,gaussian_blur"], "--names: duplicate augmentation 'gaussian_blur'"),
         # the policy names no soil bank, and only --synthetic runs make one
         (["--names", "background_invariance"], "uses background_invariance but sets no soil_bank"),
     ])
@@ -835,8 +877,40 @@ class TestOrderSweepCommand:
             "--synthetic", "8", "--out-dir", str(tmp_path / "sweep"),
         ])
         assert code == 2
-        assert capsys.readouterr().err == "error: unknown augmentation '' in --names\n"
+        assert capsys.readouterr().err == "error: --names: unknown augmentation ''\n"
         assert not (tmp_path / "sweep" / "cells.csv").exists()
+
+    def test_summary_line_prints_every_proxy(self, tmp_path, capsys):
+        policy = tmp_path / "policy.txt"
+        policy.write_text("gaussian_blur 0.9\nmixing 0.9\n")
+        assert cli.main([
+            "order-sweep", "--full", "--policy", str(policy), "--synthetic", "8",
+            "--out-dir", str(tmp_path / "sweep"),
+            "--steps", "2", "--batch", "4", "--embed-dim", "4", "--input-size", "8",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = (tmp_path / "sweep" / "cells.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(cells) == 2
+        for line, cell in zip(lines, cells):
+            order, loss, diag, offdiag = cell.split(",")
+            assert line == (f"order {order}: loss={float(loss):.4f} diag={float(diag):.4f} "
+                            f"offdiag={float(offdiag):.4f}")
+
+    def test_nothing_to_sweep_is_usage_error_before_loading(self, tmp_path, capsys,
+                                                            monkeypatch):
+        policy = tmp_path / "policy.txt"
+        policy.write_text("seed=1\n")
+        monkeypatch.setattr(cli, "_load_dataset", lambda *a: pytest.fail("dataset loaded"))
+        monkeypatch.setattr(cli, "_soil_bank", lambda *a: pytest.fail("soil bank loaded"))
+        out_dir = tmp_path / "sweep"
+        assert cli.main(["order-sweep", "--full", "--policy", str(policy), "--synthetic", "64",
+                         "--steps", "2", "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {policy}: policy has no entries to sweep; "
+                                "name them in --names\n")
+        assert [p.name for p in out_dir.iterdir()] == ["manifest.txt"]
+        assert "status=error" in (out_dir / "manifest.txt").read_text()
 
     def test_requires_exactly_one_mode(self, tmp_path):
         policy = tmp_path / "policy.txt"

@@ -117,10 +117,10 @@ def reference_header(data: bytes, magic: bytes) -> bytes:
     pos, values = 2, []
     for field in ("width", "height", "maxval"):
         token, pos = reference_token(data, pos, field)
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ic.CodecError(f"invalid {field}: {token!r}") from None
+        # ASCII decimal only: int() would also take a sign and underscores
+        if not token.isdigit():
+            raise ic.CodecError(f"invalid {field}: {token!r}")
+        values.append(int(token))
     return magic + b" %d %d %d" % tuple(values) + data[pos:]
 
 

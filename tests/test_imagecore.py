@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ class TestPpmCodec:
     def test_invalid_width(self):
         with pytest.raises(ic.CodecError, match="width"):
             ic.load_ppm(b"P6\nx 1\n255\n\x00\x00\x00")
+
+    @pytest.mark.parametrize("header, message", [
+        (b"P6 +1 1_0 0255\n", "invalid width: b'+1'"),
+        (b"P6 10 1_0 255\n", "invalid height: b'1_0'"),
+        (b"P6 10 1 -255\n", "invalid maxval: b'-255'"),
+    ])
+    def test_header_numbers_are_ascii_decimal(self, header, message):
+        # int() would take a sign and underscores
+        with pytest.raises(ic.CodecError, match=f"^{re.escape(message)}$"):
+            ic.load_ppm(header + bytes(30))
+
+    def test_header_numbers_may_have_leading_zeros(self):
+        assert ic.load_ppm(b"P6 010 01 0255\n" + bytes(30)).shape == (1, 10, 3)
 
     def test_trailing_bytes_rejected(self, random_image):
         with pytest.raises(ic.CodecError, match="7 trailing bytes"):

@@ -1,9 +1,11 @@
 """Property tests of the policy and checkpoint loaders: generated valid
 policies round-trip through their text form and apply to any image,
-arbitrary overrides either load or raise PolicyError, and truncated or
-header-mutated checkpoints raise CheckpointError, never any other
-exception."""
+policies of numpy scalars or with line breaks and spaces in their soil
+paths round-trip or fail to save, arbitrary overrides either load or
+raise PolicyError, and truncated or header-mutated checkpoints raise
+CheckpointError, never any other exception."""
 
+import functools
 import math
 
 import numpy as np
@@ -98,6 +100,48 @@ def valid_policies(draw):
 @given(valid_policies())
 def test_policy_text_round_trip(pol):
     assert P.load_policy(P.save_policy(pol)) == pol
+
+
+def as_scalars(values, types):
+    """``values`` converted to one of ``types``, say a Python or a numpy scalar."""
+    return st.builds(lambda value, kind: kind(value), values, st.sampled_from(types))
+
+
+def python_or_numpy(default, bounds):
+    """Override values as :func:`within` draws them, as Python or numpy scalars."""
+    kinds = (int, np.int64, float, np.float64) if isinstance(default, int) else (float, np.float64)
+    return as_scalars(within(default, bounds), kinds)
+
+
+@st.composite
+def scalar_policies(draw):
+    """Valid policies but for their soil paths, which may hold line breaks
+    and surrounding spaces, with values of any scalar type they admit."""
+    floats = functools.partial(as_scalars, types=(float, np.float64))
+    names = draw(st.permutations(P.AUGMENTATION_NAMES))
+    names = names[:draw(st.integers(0, len(names)))]
+    entries = [
+        P.PolicyEntry(name, draw(floats(st.integers(0, 1000).map(lambda n: n / 1000))),
+                      draw(valid_params(name, python_or_numpy)))
+        for name in names
+    ]
+    return P.Policy(
+        entries=entries,
+        master_seed=draw(as_scalars(st.integers(0, 2 ** 64 - 1), (int, np.uint64))),
+        theta=draw(floats(st.floats(allow_nan=False, allow_infinity=False))),
+        soil_bank_path=draw(st.text(st.sampled_from("ab/._=# \t\n\r\x0b\x1c\x85\u2028"),
+                                    max_size=6)),
+    )
+
+
+@FUZZ
+@given(scalar_policies())
+def test_saved_policy_loads_as_itself_or_does_not_save(pol):
+    try:
+        text = P.save_policy(pol)
+    except P.PolicyError:
+        return
+    assert P.load_policy(text) == pol
 
 
 @st.composite

@@ -465,6 +465,12 @@ class TestSyntheticData:
             assert a.dtype == np.uint8 and a.shape == (size, size, 3) and a.flags.owndata, i
             assert np.array_equal(a, b), i
 
+    @pytest.mark.parametrize("make", [tt.make_synthetic_corpus, tt.make_synthetic_soil])
+    def test_negative_count_is_value_error(self, make):
+        with pytest.raises(ValueError, match=r"^image count must be >= 0, got -5$"):
+            make(-5, 8)
+        assert make(0, 8) == []
+
     def test_corpus_numpy_peak_stays_small(self):
         # a stream set's draws become images pass by pass; holding all
         # 512 x 768 draws at once would peak near 10 MB
