@@ -16,7 +16,7 @@ from pathlib import Path
 from fieldaug import augment as au
 from fieldaug import tinytrain as tt
 from fieldaug import twins as tw
-from fieldaug.policy import Policy, PolicyEntry, make_views
+from fieldaug.policy import Policy, PolicyEntry
 from fieldaug.rng import derive_seed
 
 out_dir = Path("demo_output/pretrain")
@@ -49,13 +49,7 @@ cfg = tt.TrainConfig(batch_size=64, learning_rate=0.4, lam=0.25,
                      max_steps=200)
 
 # fixed probe views, indices far outside the training range
-probe1, probe2 = [], []
-for i in range(512):
-    v1, v2 = make_views(corpus[i], policy, 10 ** 9 + i, soil_bank=bank)
-    probe1.append(v1)
-    probe2.append(v2)
-x1 = tt.prepare_batch(probe1, 16)
-x2 = tt.prepare_batch(probe2, 16)
+x1, x2 = tt.view_batches(corpus, policy, range(10 ** 9, 10 ** 9 + 512), 16, bank)
 
 model0 = tt.init_model(16, 8, seed=derive_seed(cfg.seed, 0))
 c0 = tt.probe_cross_corr(model0, x1, x2)

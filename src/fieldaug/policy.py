@@ -53,6 +53,7 @@ __all__ = [
     "compile_policy",
     "apply_policy",
     "make_views",
+    "view_pairs",
     "load_policy",
     "save_policy",
     "RandomStream",
@@ -177,17 +178,19 @@ def _entry_values(entry: PolicyEntry, where: str = "") -> dict:
         # ints are finite, and isfinite overflows on those beyond float range
         if not isinstance(value, int) and not math.isfinite(value):
             raise PolicyError(f"{key}={value} is not finite{where}")
+    # non-integers as the Python floats they save as; numpy compares a float32 in float32
+    params = {k: v if isinstance(v, (int, np.integer)) else float(v) for k, v in entry.params.items()}
     values = {}
     for key, (default, bounds) in PARAMETERS[entry.name].items():
         if isinstance(default, tuple):
-            lo = entry.params.get(f"{key}_min", default[0])
-            hi = entry.params.get(f"{key}_max", default[1])
+            lo = params.get(f"{key}_min", default[0])
+            hi = params.get(f"{key}_max", default[1])
             if lo > hi:
                 raise PolicyError(f"{key}_min={lo} exceeds {key}_max={hi}{where}")
             values[f"{key}_range"] = (lo, hi)
             ends = (("_min", lo), ("_max", hi))
         else:
-            value = entry.params.get(key, default)
+            value = params.get(key, default)
             if isinstance(default, int) and value != int(value):
                 raise PolicyError(f"{key}={value} is not an integer{where}")
             values[key] = int(value) if isinstance(default, int) else value
@@ -326,7 +329,7 @@ def apply_policy(
     receives it, and background invariance uses it.
     ``apply_policy`` prefetches nothing, so on a fresh stream each erasing
     rectangle of 320 or more fill draws makes its own lane pass, and a view
-    through :func:`make_views`, which prefetches, is faster.
+    through :func:`view_pairs`, which prefetches, is faster.
     """
     plan = compile_policy(policy)
     if plan.needs_bank and (soil_bank is None or len(soil_bank) == 0):
@@ -348,28 +351,31 @@ def apply_policy(
 PREFETCH_PER_PIXEL = 1.5
 
 
-def _view_streams(plan: Plan, indices, shapes):
-    """Yield sets ``(ks, streams)`` covering every k: ``streams[2j + v]``, seeded
-    derive(master_seed, 2 * indices[ks[j]] + v), draws view v of the image of
-    shape ``shapes[ks[j]]``. When mixing or random erasing can fire, each stream
-    prefetches PREFETCH_PER_PIXEL draws per pixel, in whole lanes, as its set
-    is yielded. A set's streams prefetch as many draws each and share one lane
-    pass (a set is one image from 74 px on), so one set's read-ahead need be
-    alive at a time."""
+def view_pairs(images, policy: Policy | Plan, indices,
+               soil_bank: augment.SoilBank | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`make_views` of each ``images[k]`` as image ``indices[k]``. When mixing or
+    random erasing can fire, each view stream prefetches PREFETCH_PER_PIXEL draws per pixel
+    of its image, in whole lanes. The images go in sets of one prefetch size, as many as
+    share one lane pass (one image from 74 px on); a set's streams are made, dropping the
+    last set's, then prefetched, so one set's read-ahead is alive at a time."""
+    plan, images, indices = compile_policy(policy), list(images), list(indices)
     rate = PREFETCH_PER_PIXEL if any(
         e.name in ("mixing", "random_erasing") and e.probability for e in plan.entries) else 0
     by_draws: dict[int, list[int]] = {}
-    for k, shape in enumerate(shapes):
-        draws = math.ceil(rate * shape[0] * shape[1] / SET_STEPS) * SET_STEPS
+    for k, (img, _) in enumerate(zip(images, indices, strict=True)):
+        draws = math.ceil(rate * img.shape[0] * img.shape[1] / SET_STEPS) * SET_STEPS
         by_draws.setdefault(draws, []).append(k)
+    pairs = [None] * len(images)
     for draws, ks in by_draws.items():
         per_set = max(1, streams_per_pass(draws) // 2)
-        for start in range(0, len(ks), per_set):
+        for chunk in (ks[start:start + per_set] for start in range(0, len(ks), per_set)):
             streams = [RandomStream(derive_seed(plan.master_seed, 2 * indices[k] + v))
-                       for k in ks[start:start + per_set] for v in (0, 1)]
+                       for k in chunk for v in (0, 1)]
             if draws:
                 prefetch(streams, draws)
-            yield ks[start:start + per_set], streams
+            for j, k in enumerate(chunk):
+                pairs[k] = make_views(images[k], plan, indices[k], soil_bank, streams[2 * j:2 * j + 2])
+    return pairs
 
 
 def make_views(
@@ -379,14 +385,14 @@ def make_views(
     soil_bank: augment.SoilBank | None = None,
     streams: list[RandomStream] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Produce the two views for one image. View k draws from ``streams[k]``, of
-    two distinct streams, or else from its stream made by :func:`_view_streams`.
-    Both views share one refined vegetation mask of ``img``, computed when first needed."""
-    plan = compile_policy(policy)
+    """Produce the two views for one image, view k from ``streams[k]`` of two distinct
+    streams; without ``streams``, the one pair of :func:`view_pairs` of ``img``. Both
+    views share one refined vegetation mask of ``img``, computed when first needed."""
     if streams is None:
-        [(_, streams)] = _view_streams(plan, [image_index], [img.shape])
-    elif len(streams) != 2 or streams[0] is streams[1]:
+        return view_pairs([img], policy, [image_index], soil_bank)[0]
+    if len(streams) != 2 or streams[0] is streams[1]:
         raise ValueError("make_views needs two distinct streams, one per view")
+    plan = compile_policy(policy)
     source_mask = functools.cache(lambda: augment.refined_vegetation_mask(img, plan.theta))
     return tuple(apply_policy(img, plan, stream, soil_bank=soil_bank, source_mask=source_mask)
                  for stream in streams)

@@ -29,13 +29,14 @@ corpus draw their noise in 13 passes of 42 streams, where they made 512
 passes of one. ``prefetch``, the only way a stream reads ahead, keeps the
 rows for the streams' next calls. A lane pass's cost is mostly fixed (the
 jumps to the lane starts and the per-step array calls), so
-``policy._view_streams`` prefetches the draws of views that draw per
+``policy.view_pairs`` prefetches the draws of views that draw per
 pixel: a 16 px desk pretraining step draws all its views' values in 2
 passes, and a 128 px default-policy view in one.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
@@ -88,7 +89,7 @@ def splitmix64(x: int) -> int:
 
 def derive_seed(stream_seed: int, index: int) -> int:
     """Pure substream derivation: splitmix64(seed XOR index * golden gamma)."""
-    x = (stream_seed ^ ((index * GOLDEN_GAMMA) & MASK64)) & MASK64
+    x = (operator.index(stream_seed) ^ ((operator.index(index) * GOLDEN_GAMMA) & MASK64)) & MASK64
     return splitmix64(x)
 
 
@@ -231,7 +232,7 @@ class RandomStream:
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_ahead", "_read")
 
     def __init__(self, seed: int):
-        state = seed & MASK64
+        state = operator.index(seed) & MASK64
         words = []
         for _ in range(4):
             state = (state + GOLDEN_GAMMA) & MASK64

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import twins
 from .imagecore import _first_line, _text_lines, bilinear_resize, ensure_u8
-from .policy import Plan, Policy, _view_streams, compile_policy, make_views
+from .policy import Plan, Policy, compile_policy, view_pairs
 from .augment import SoilBank
 from .rng import RandomStream, below_many_many, derive_seed, streams_per_pass
 
@@ -238,14 +238,8 @@ def prepare_batch(images, input_size: int) -> np.ndarray:
 def view_batches(images, plan: Plan | Policy, indices, input_size: int,
                  soil_bank: SoilBank | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Two prepared view batches: row k of each holds a view of
-    ``images[k]`` made by :func:`make_views` as image ``indices[k]``."""
-    plan, images, indices = compile_policy(plan), list(images), list(indices)
-    pairs = [None] * len(images)
-    shapes = [img.shape for img, _ in zip(images, indices, strict=True)]
-    for ks, streams in _view_streams(plan, indices, shapes):
-        for j, k in enumerate(ks):
-            pairs[k] = make_views(images[k], plan, indices[k], soil_bank, streams[2 * j:2 * j + 2])
-        del streams  # freed before the next set's prefetch
+    ``images[k]`` made by :func:`view_pairs` as image ``indices[k]``."""
+    pairs = view_pairs(images, plan, indices, soil_bank)
     return (prepare_batch([v1 for v1, _ in pairs], input_size),
             prepare_batch([v2 for _, v2 in pairs], input_size))
 
@@ -532,31 +526,26 @@ def load_checkpoint(data: bytes) -> Checkpoint:
 # gradient verification
 # ---------------------------------------------------------------------------
 
-def model_grad_check(
-    n: int = 4,
-    input_size: int = 6,
-    embed_dim: int = 4,
-    lam: float = twins.DEFAULT_LAMBDA,
-    h: float = 1e-6,
-    seed: int = 0,
-    sample_per_block: int | None = None,
-    floor: float = 1e-4,
-) -> float:
+# The finite-difference step and error floor of model_grad_check. Steps near
+# 1e-4 reach the scale of the norm layers' epsilon, where an ill-conditioned
+# column (tiny batch std) puts central differences outside their asymptotic
+# regime, so the step is small. Batch norm also cancels constant column
+# shifts, which makes many bias gradients exactly zero; finite differences on
+# those measure pure cancellation noise (roughly eps * loss / step, about 1e-8
+# here) and the floor sits above it.
+FD_STEP = 1e-6
+FD_FLOOR = 1e-4
+
+
+def model_grad_check(n: int = 4, input_size: int = 6, embed_dim: int = 4, seed: int = 0,
+                     sample_per_block: int | None = None) -> float:
     """Compare the analytic parameter gradient against central finite
-    differences on a random model and random input views.
+    differences, at the default lambda, on a random model and random input views.
 
     With ``sample_per_block`` set, checks that many seeded random indices
     from every parameter tensor instead of all of them (full sweeps on the
     default encoder are quadratically slow). Returns the max relative
-    error with denominator max(|analytic|, |fd|, floor).
-
-    The defaults are deliberate. Steps near 1e-4 reach the scale of the
-    norm layers' epsilon, where an ill-conditioned column (tiny batch std)
-    puts central differences outside their asymptotic regime, so h is
-    small. Batch norm also cancels constant column shifts, which makes
-    many bias gradients exactly zero; finite differences on those measure
-    pure cancellation noise (roughly eps * loss / h, about 1e-8 here) and
-    the floor sits above it.
+    error with denominator max(|analytic|, |fd|, FD_FLOOR).
     """
     model = init_model(input_size, embed_dim, seed=derive_seed(seed, 0))
     rng = RandomStream(derive_seed(seed, 1))
@@ -564,10 +553,10 @@ def model_grad_check(
     x1 = rng.uniforms(n * in_dim, 0.0, 1.0).reshape(n, in_dim)
     x2 = rng.uniforms(n * in_dim, 0.0, 1.0).reshape(n, in_dim)
 
-    _, grad = backward(model, x1, x2, lam)
+    _, grad = backward(model, x1, x2, twins.DEFAULT_LAMBDA)
 
     def loss_at():
-        return twins._bt_core(forward(model, x1), forward(model, x2), lam)[0]
+        return twins._bt_core(forward(model, x1), forward(model, x2), twins.DEFAULT_LAMBDA)[0]
 
     indices: list[int] = []
     offset = 0
@@ -583,7 +572,7 @@ def model_grad_check(
             indices.extend(sorted(chosen))
         offset += size
 
-    return twins._max_fd_error(model.params, grad, indices, loss_at, h, floor)
+    return twins._max_fd_error(model.params, grad, indices, loss_at, FD_STEP, FD_FLOOR)
 
 
 # ---------------------------------------------------------------------------

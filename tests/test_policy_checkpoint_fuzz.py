@@ -109,7 +109,8 @@ def as_scalars(values, types):
 
 def python_or_numpy(default, bounds):
     """Override values as :func:`within` draws them, as Python or numpy scalars."""
-    kinds = (int, np.int64, float, np.float64) if isinstance(default, int) else (float, np.float64)
+    floats = (float, np.float64, np.float32)
+    kinds = (int, np.int64, *floats) if isinstance(default, int) else floats
     return as_scalars(within(default, bounds), kinds)
 
 

@@ -1,6 +1,6 @@
 """A stream reads ahead in one way only: ``rng.prefetch`` is the only code
 in ``src/fieldaug`` that gives ``RandomStream._ahead`` values, and
-``policy._view_streams`` is the only code that calls it, so the read-ahead
+``policy.view_pairs`` is the only code that calls it, so the read-ahead
 rule of the view streams is the whole of it. A stream steps in two ways
 only: ``RandomStream.next_u64`` is the one scalar xoshiro step and
 ``rng._lane_pass`` the one array step, so they and ``__init__`` are the
@@ -61,7 +61,7 @@ def _package_sites(kinds):
 
 def test_one_read_ahead_source():
     assert _package_sites({"ahead", "prefetch"}) == [
-        ("ahead", "rng.prefetch"), ("prefetch", "policy._view_streams")]
+        ("ahead", "rng.prefetch"), ("prefetch", "policy.view_pairs")]
 
 
 def test_one_scalar_step():

@@ -70,6 +70,31 @@ def test_derive_seed_is_pure_and_disjoint():
     assert derive_seed(42, 0) != derive_seed(43, 0)
 
 
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@st.composite
+def integers_of_any_type(draw):
+    """``(value, value as itself or as a numpy integer type that holds it)``."""
+    kind = draw(st.sampled_from(NUMPY_INTEGERS))
+    value = draw(st.integers(int(np.iinfo(kind).min), int(np.iinfo(kind).max)))
+    return value, draw(st.sampled_from([value, kind(value)]))
+
+
+@given(seed=integers_of_any_type(), index=integers_of_any_type())
+def test_seeds_and_indices_of_any_integer_type(seed, index):
+    # a numpy integer gives the draws of its Python int, without an
+    # OverflowError or an overflow warning; a float is a TypeError
+    (seed, typed_seed), (index, typed_index) = seed, index
+    assert derive_seed(typed_seed, typed_index) == derive_seed(seed, index)
+    assert RandomStream(typed_seed).u64s(3).tolist() == RandomStream(seed).u64s(3).tolist()
+    for number in (float(seed), np.float64(seed)):
+        for call in (lambda: derive_seed(number, index), lambda: derive_seed(seed, number),
+                     lambda: RandomStream(number)):
+            with pytest.raises(TypeError):
+                call()
+
+
 def test_splitmix64_range():
     v = splitmix64(0)
     assert 0 <= v <= MASK64
@@ -350,18 +375,23 @@ def test_prefetched_views_equal_unprefetched_views(height, width, mixing, erasin
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
-def test_views_past_their_prefetch_equal_unprefetched_views():
+def test_views_past_their_prefetch_equal_unprefetched_views(monkeypatch):
     # many default-policy 16 px views draw more than their 384 prefetched
     # values and go on from the end of them
     corpus = tinytrain.make_synthetic_corpus(8, 16, seed=derive_seed(0, 1))
     plan = policy.compile_policy(policy.default_policy())
-    drained = 0
+    prefetch, streams = policy.prefetch, []
+
+    def spy(some, n):
+        prefetch(some, n)
+        streams.extend(some)
+
+    monkeypatch.setattr(policy, "prefetch", spy)
     for i, img in enumerate(corpus):
-        [(_, streams)] = policy._view_streams(plan, [i], [img.shape])
-        got = policy.make_views(img, plan, i, VIEW_BANK, streams)
-        drained += sum(s._ahead is None for s in streams)
+        got = policy.make_views(img, plan, i, VIEW_BANK)
         assert [v.tobytes() for v in got] == [v.tobytes() for v in _unprefetched_views(img, plan, i)]
-    assert drained >= 4
+    assert len(streams) == 2 * len(corpus)
+    assert sum(s._ahead is None for s in streams) >= 4
 
 
 # (count, n): one stream's u64s(n) where count is None, else u64s_many of count streams

@@ -326,6 +326,13 @@ class TestViewBatches:
         for x, views in zip(got, (views1, views2)):
             expected = tt.prepare_batch(views, 8)
             assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+        # and, before the resize, each view is its own policy run on a fresh stream
+        pairs = P.view_pairs(images, plan, indices, soil_bank)
+        for img, index, pair in zip(images, indices, pairs, strict=True):
+            for v, view in enumerate(pair):
+                stream = RandomStream(derive_seed(plan.master_seed, 2 * index + v))
+                want = P.apply_policy(img, plan, stream, soil_bank)
+                assert view.shape == want.shape and view.tobytes() == want.tobytes()
 
     def test_sets_prefetch_their_own_size_one_at_a_time(self, monkeypatch, soil_bank):
         # a stream set holds images of one prefetch size, as many as share a
