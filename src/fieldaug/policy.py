@@ -36,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import augment
-from .imagecore import _first_line, _text_lines
+from .imagecore import _first_line, _text_lines, ensure_u8
 from .rng import SET_STEPS, RandomStream, derive_seed, prefetch, streams_per_pass
 from .vegmask import DEFAULT_THETA
 
@@ -331,7 +331,7 @@ def apply_policy(
     rectangle of 320 or more fill draws makes its own lane pass, and a view
     through :func:`view_pairs`, which prefetches, is faster.
     """
-    plan = compile_policy(policy)
+    plan, img = compile_policy(policy), ensure_u8(img)
     if plan.needs_bank and (soil_bank is None or len(soil_bank) == 0):
         raise PolicyError(
             "policy contains background_invariance but no soil bank is loaded"
@@ -358,7 +358,7 @@ def view_pairs(images, policy: Policy | Plan, indices,
     of its image, in whole lanes. The images go in sets of one prefetch size, as many as
     share one lane pass (one image from 74 px on); a set's streams are made, dropping the
     last set's, then prefetched, so one set's read-ahead is alive at a time."""
-    plan, images, indices = compile_policy(policy), list(images), list(indices)
+    plan, images, indices = compile_policy(policy), [ensure_u8(img) for img in images], list(indices)
     rate = PREFETCH_PER_PIXEL if any(
         e.name in ("mixing", "random_erasing") and e.probability for e in plan.entries) else 0
     by_draws: dict[int, list[int]] = {}

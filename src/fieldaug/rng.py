@@ -25,19 +25,18 @@ A stream set shares one lane pass among many streams that hold no
 read-ahead values: row i of ``u64s_many(streams, n)`` (and of
 ``below_many_many``) equals ``streams[i].u64s(n)``, and each stream ends
 where that call would leave it. The 512 streams of a 16 px synthetic
-corpus draw their noise in 13 passes of 42 streams, where they made 512
-passes of one. ``prefetch``, the only way a stream reads ahead, keeps the
-rows for the streams' next calls. A lane pass's cost is mostly fixed (the
-jumps to the lane starts and the per-step array calls), so
-``policy.view_pairs`` prefetches the draws of views that draw per
-pixel: a 16 px desk pretraining step draws all its views' values in 2
-passes, and a 128 px default-policy view in one.
+corpus draw their noise in 13 passes of 42 streams. ``prefetch``, the only
+way a stream reads ahead, keeps the rows for the streams' next calls. A
+lane pass's cost is mostly fixed (the jumps to the lane starts and the
+per-step array calls), so ``policy.view_pairs`` prefetches the draws of
+views that draw per pixel: a 16 px desk pretraining step draws all its
+views' values in 2 passes, and a 128 px default-policy view in one.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
-import threading
 
 import numpy as np
 
@@ -65,26 +64,17 @@ SET_STEPS = 32
 # view stream's prefetch (1.5 x 16,384 draws) takes one pass of 768 lanes.
 MAX_PASS = 32768
 
-# _JUMPS[i] is T**(SET_STEPS * 2**i) as a (1024, 4) table of u64 words
-# (32 KiB): row 16p + v is the advanced state of a state whose only set
-# bits are the nibble v at bits 4p..4p+3. Built on the first lane pass
-# that needs them, under the lock.
-_JUMPS: list[np.ndarray] = []
-_JUMPS_LOCK = threading.Lock()
 _U64 = np.dtype("<u8")
-
-
-def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
 
 
 def splitmix64(x: int) -> int:
     """One full splitmix64 step from state ``x``: advance by the golden
     gamma, then mix. Convention fixed here; seeding and derivation below
     depend on it."""
-    return _mix((x + GOLDEN_GAMMA) & MASK64)
+    z = (x + GOLDEN_GAMMA) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
 
 
 def derive_seed(stream_seed: int, index: int) -> int:
@@ -93,17 +83,16 @@ def derive_seed(stream_seed: int, index: int) -> int:
     return splitmix64(x)
 
 
-def _run_lanes(state: np.ndarray, s1_words=None) -> None:
+def _run_lanes(state: np.ndarray, s1_words: np.ndarray) -> None:
     """Advance every lane SET_STEPS draws, in place. ``state`` holds the
-    lanes' state words as the four rows of a (4, ...) array; with
-    ``s1_words``, ``s1_words[i]`` receives the lanes' s1 words before step i."""
+    lanes' state words as the four rows of a (4, ...) array, and
+    ``s1_words[i]`` receives the lanes' s1 words before step i."""
     s0, s1, s2, s3 = state
     low, high, crossed = state[:2], state[2:], state[:1:-1]
     t = np.empty_like(s0)
     xor, shl, shr, bor = np.bitwise_xor, np.left_shift, np.right_shift, np.bitwise_or
     for i in range(SET_STEPS):
-        if s1_words is not None:
-            s1_words[i] = s1
+        s1_words[i] = s1
         shl(s1, np.uint64(17), out=t)
         xor(high, low, out=high)      # s2 ^= s0, s3 ^= s1
         xor(low, crossed, out=low)    # s0 ^= s3, s1 ^= s2
@@ -151,23 +140,25 @@ def _nibble_table(columns: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(terms, axis=1).reshape(1024, 4)
 
 
+@functools.cache
 def _jump(level: int) -> np.ndarray:
-    """Nibble table of T**(SET_STEPS * 2**level), built and cached on first use."""
-    with _JUMPS_LOCK:
-        while len(_JUMPS) <= level:
-            if _JUMPS:
-                # square the last matrix: apply it to its own columns
-                table = _JUMPS[-1]
-                columns = _apply(table, table.reshape(64, 16, 4)[:, [1, 2, 4, 8]].reshape(256, 4))
-            else:
-                # step each basis state SET_STEPS times
-                k = np.arange(256)
-                basis = np.zeros((4, 256), dtype=_U64)
-                basis[k // 64, k] = np.uint64(1) << (k % 64).astype(_U64)
-                _run_lanes(basis)
-                columns = basis.T
-            _JUMPS.append(_nibble_table(columns))
-        return _JUMPS[level]
+    """T**(SET_STEPS * 2**level) as a read-only (1024, 4) table of u64 words
+    (32 KiB): row 16p + v is the advanced state of a state whose only set
+    bits are the nibble v at bits 4p..4p+3. Racing threads build equal tables."""
+    if level:
+        # square the matrix below: apply it to its own columns
+        table = _jump(level - 1)
+        columns = _apply(table, table.reshape(64, 16, 4)[:, [1, 2, 4, 8]].reshape(256, 4))
+    else:
+        # step each basis state SET_STEPS times
+        k = np.arange(256)
+        basis = np.zeros((4, 256), dtype=_U64)
+        basis[k // 64, k] = np.uint64(1) << (k % 64).astype(_U64)
+        _run_lanes(basis, np.empty((SET_STEPS, 256), dtype=_U64))
+        columns = basis.T
+    table = _nibble_table(columns)
+    table.flags.writeable = False
+    return table
 
 
 def _lane_pass(streams: list, out: np.ndarray) -> None:
@@ -232,12 +223,11 @@ class RandomStream:
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_ahead", "_read")
 
     def __init__(self, seed: int):
-        state = operator.index(seed) & MASK64
-        words = []
-        for _ in range(4):
-            state = (state + GOLDEN_GAMMA) & MASK64
-            words.append(_mix(state))
-        self._s0, self._s1, self._s2, self._s3 = words
+        x = operator.index(seed) & MASK64
+        self._s0, self._s1, self._s2, self._s3 = (
+            splitmix64(x), splitmix64((x + GOLDEN_GAMMA) & MASK64),
+            splitmix64((x + 2 * GOLDEN_GAMMA) & MASK64),
+            splitmix64((x + 3 * GOLDEN_GAMMA) & MASK64))
         self._ahead: np.ndarray | None = None
         self._read = 0
 

@@ -143,6 +143,9 @@ class TinyModel:
 
     def __init__(self, input_size: int = 16, embed_dim: int = 8,
                  params: np.ndarray | None = None):
+        for name, value in (("input_size", input_size), ("embed_dim", embed_dim)):
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         self.input_size = int(input_size)
         self.embed_dim = int(embed_dim)
         self.in_dim = self.input_size * self.input_size * 3
@@ -596,10 +599,13 @@ def _noise_images(streams: list[RandomStream], size: int, bounds, offsets) -> li
     return images
 
 
-def _image_streams(count: int, seed: int) -> list[RandomStream]:
-    """The stream of each of ``count`` synthetic images; a negative count is a ValueError."""
+def _image_streams(count: int, size: int, seed: int) -> list[RandomStream]:
+    """The stream of each of ``count`` synthetic images of ``size`` px; a
+    negative count or a size below 1 is a ValueError."""
     if count < 0:
         raise ValueError(f"image count must be >= 0, got {count}")
+    if size < 1:
+        raise ValueError(f"image size must be >= 1, got {size}")
     return [RandomStream(derive_seed(seed, i)) for i in range(count)]
 
 
@@ -612,7 +618,7 @@ def make_synthetic_soil(count: int, size: int = 16, seed: int = 0) -> list[np.nd
     standardization roughly half the pixels of any non-constant image have
     positive excess green, and only spatially coherent regions survive the
     mask refinement."""
-    streams = _image_streams(count, seed)
+    streams = _image_streams(count, size, seed)
     return _noise_images(streams, size, np.tile((50, 40, 35), size * size), (100, 70, 40))
 
 
@@ -629,7 +635,7 @@ def make_synthetic_corpus(count: int, size: int = 16, seed: int = 0) -> list[np.
     Each image's stream draws its base color, its noise, then its blobs;
     streams are independent, so every base is drawn first, the noise of
     many images shares lane passes, and the blobs come last."""
-    streams = _image_streams(count, seed)
+    streams = _image_streams(count, size, seed)
     bases = np.array([(60 + s.next_below(140), 50 + s.next_below(120), 30 + s.next_below(110))
                       for s in streams], dtype=np.int64).reshape(count, 3)
     images = _noise_images(streams, size, 20, bases)

@@ -168,6 +168,18 @@ class TestMakeViews:
             make_views(plant_image, default_policy(3), 0, soil_bank=soil_bank,
                        streams=[streams[i] for i in picks])
 
+    @pytest.mark.parametrize("img", [
+        np.zeros((4, 4, 3)), np.zeros((4, 4), np.uint8), np.zeros((0, 4, 3), np.uint8),
+        np.zeros(12, np.uint8), [[[0, 0, 0]] * 4] * 4,
+    ], ids=["float64", "gray", "empty", "one_dimensional", "nested_list"])
+    def test_malformed_image_is_value_error(self, img):
+        # checked on entry: a plan that never fires would pass it through
+        plan = Policy([PolicyEntry("mixing", 0.0)])
+        for call in (lambda: make_views(img, plan, 0), lambda: P.view_pairs([img], plan, [0]),
+                     lambda: apply_policy(img, plan, RandomStream(0))):
+            with pytest.raises(ValueError, match=r"^(expected|empty image)"):
+                call()
+
 
 class TestPolicyText:
     def test_default_round_trip(self):

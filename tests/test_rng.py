@@ -1,6 +1,8 @@
 import collections
+import concurrent.futures
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,33 @@ def test_seeds_and_indices_of_any_integer_type(seed, index):
                      lambda: RandomStream(number)):
             with pytest.raises(TypeError):
                 call()
+
+
+def test_concurrent_first_lane_passes_equal_scalar_draws():
+    # jump tables are built on first use, without a lock: 8 threads racing
+    # to build levels 0-7 (8,192 draws a stream) must draw what next_u64 gives
+    n, count, threads = 8192, 4, 8
+    rng._jump.cache_clear()
+    start = threading.Barrier(threads)
+
+    def draw(t):
+        streams = [RandomStream(derive_seed(t, i)) for i in range(count)]
+        start.wait(timeout=60)
+        return rng.u64s_many(streams, n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            results = list(pool.map(draw, range(threads), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for t, rows in enumerate(results):
+        for i, row in enumerate(rows):
+            s = RandomStream(derive_seed(t, i))
+            assert row.tolist() == [s.next_u64() for _ in range(n)], (t, i)
+    assert rng._jump.cache_info().currsize == 8
+    assert not rng._jump(0).flags.writeable
 
 
 def test_splitmix64_range():

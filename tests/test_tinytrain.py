@@ -55,6 +55,19 @@ def tiny_policy(seed=0):
 
 
 class TestModel:
+    @pytest.mark.parametrize("build, input_size, embed_dim, name", [
+        (tt.init_model, 0, 8, "input_size"), (tt.TinyModel, -1, 8, "input_size"),
+        (tt.init_model, 4, 0, "embed_dim"), (tt.TinyModel, 2.5, 4, "input_size"),
+    ])
+    def test_dimension_not_a_positive_integer_is_value_error(self, build, input_size,
+                                                             embed_dim, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1"):
+            build(input_size, embed_dim)
+
+    def test_numpy_integer_dimensions(self):
+        model = tt.TinyModel(np.int64(2), np.int32(3))
+        assert (model.input_size, model.embed_dim, model.in_dim) == (2, 3, 12)
+
     def test_zero_parameters_zero_embeddings(self):
         model = tt.TinyModel(input_size=4, embed_dim=4)
         x = np.full((3, model.in_dim), 0.7)
@@ -477,6 +490,9 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match=r"^image count must be >= 0, got -5$"):
             make(-5, 8)
         assert make(0, 8) == []
+        for size in (0, -2):
+            with pytest.raises(ValueError, match=rf"^image size must be >= 1, got {size}$"):
+                make(3, size)
 
     def test_corpus_numpy_peak_stays_small(self):
         # a stream set's draws become images pass by pass; holding all
