@@ -14,19 +14,21 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import itertools
 import math
 import os
-import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import augment, metrics, tinytrain, twins
+# tinytrain (with twins) loads with cli, so every module perfbench's traced
+# repeats wrap is loaded by `import fieldaug.cli`; metrics, statistics and
+# the process pool are imported where they run
+from . import augment, tinytrain, twins
 from .imagecore import CodecError, load_ppm, save_ppm
 from .policy import (
     AUGMENTATION_NAMES,
@@ -67,6 +69,42 @@ def _usage(prefix: str = ""):
 # a backslash and str.splitlines' line breaks, escaped: a value keeps its line
 _ESCAPES = {ord(c): c.encode("unicode_escape").decode()
             for c in "\\\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+@functools.cache
+def _openblas_probes():
+    """The core-name and thread-count functions of the OpenBLAS numpy
+    loaded, or None where they cannot be found: in numpy's wheel, the
+    scipy-openblas library in ``numpy.libs``."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        name = min(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
+        lib = ctypes.CDLL(str(libs / name))
+        probes = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_num_threads64_
+    except (OSError, ValueError, AttributeError):  # no directory, library or function
+        return None
+    for probe, restype in zip(probes, (ctypes.c_char_p, ctypes.c_int)):
+        probe.argtypes, probe.restype = (), restype
+    return probes
+
+
+def _numeric_environment() -> list[tuple[str, str]]:
+    """numpy's version, its BLAS's name and version, and the core and
+    thread count that OpenBLAS reports, each "unknown" where it cannot be
+    read. Affine view bytes and training bytes depend on the core. numpy's
+    build configuration names the core OpenBLAS was built for, not the one
+    it picked at load, so the core is asked of the library."""
+    core = threads = "unknown"
+    if (probes := _openblas_probes()) is not None:
+        corename, num_threads = probes
+        core, threads = corename().decode(), str(num_threads())
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return [
+        ("numpy_version", np.__version__),
+        ("blas", " ".join(str(blas[k]) for k in ("name", "version") if blas.get(k)) or "unknown"),
+        ("blas_core", core),
+        ("blas_threads", threads),
+    ]
 
 
 class Manifest:
@@ -112,11 +150,12 @@ def _write_files(files: dict) -> None:
 
 
 def _load(path: Path, decode, what: str):
-    """``decode`` of the bytes in the file at ``path``. A missing file is a
-    usage error naming ``what``, and a ``ValueError`` from ``decode`` one
-    naming the path."""
+    """``decode`` of the bytes in the file at ``path``. A missing file, or
+    a path that is not a regular file, is a usage error naming ``what``,
+    and a ``ValueError`` from ``decode`` one naming the path."""
     if not path.is_file():
-        raise UsageError(f"{what} not found: {path}")
+        fault = "is not a regular file" if path.exists() else "not found"
+        raise UsageError(f"{what} {fault}: {path}")
     with _usage(f"{path}: "):
         return decode(path.read_bytes())
 
@@ -220,6 +259,8 @@ def _worker_pool(workers: int, plans: dict, bank):
         finally:
             _RUN.clear()
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                              initargs=(plans, bank)) as pool:
         list(pool.map(_started, range(workers)))
@@ -232,11 +273,17 @@ def _pool_map(fn, tasks: list, pool) -> list:
     return list(pool.map(fn, tasks))
 
 
+def _check_directory(path: Path) -> None:
+    """A usage error naming ``path`` unless it is a directory."""
+    if not path.is_dir():
+        raise UsageError(f"not a directory: {path}" if path.exists()
+                         else f"directory not found: {path}")
+
+
 def _sorted_ppms(directory: Path) -> list[Path]:
-    """The .ppm files in ``directory``, by name; a missing directory is a
-    usage error naming it."""
-    if not directory.is_dir():
-        raise UsageError(f"directory not found: {directory}")
+    """The .ppm files in ``directory``, by name; a path that is not a
+    directory is a usage error naming it."""
+    _check_directory(directory)
     return sorted(directory.glob("*.ppm"), key=lambda p: p.name)
 
 
@@ -470,6 +517,8 @@ def _bench_task(task) -> None:
 
 
 def _cmd_bench(args, manifest: Manifest) -> int:
+    import statistics
+
     files, pol, plan, bank, workers = _image_run(args, manifest)
     if not files:
         raise UsageError(f"no .ppm images in {args.input}")
@@ -633,11 +682,12 @@ def _emit_metrics(values: list[tuple[str, float]], csv_path: str | None,
 
 
 def _cmd_eval(args, manifest: Manifest) -> int:
+    from . import metrics
+
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
     for d in (pred_dir, gt_dir):
-        if not d.is_dir():
-            raise UsageError(f"directory not found: {d}")
+        _check_directory(d)
     manifest.add("task", args.task)
     manifest.add("pred", pred_dir)
     manifest.add("gt", gt_dir)
@@ -832,6 +882,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - manifest must record any failure
         code, error = EXIT_RUNTIME, f"{type(exc).__name__}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
+    if code != EXIT_USAGE:  # a run rejected at its checks computed nothing
+        for key, value in _numeric_environment():
+            manifest.add(key, value)
     try:
         manifest.write(manifest_path, "ok" if code == EXIT_OK else "error", error)
     except OSError as exc:

@@ -2,8 +2,9 @@
 
 Everything stochastic in this package draws from :class:`RandomStream`, a
 pure-integer xoshiro256** generator. Identical seeds give identical draw
-sequences on every platform, which is what makes augmentation outputs
-byte-reproducible across worker counts and machines.
+sequences on every platform and for any worker count. Outputs built from
+BLAS products (affine views, training) also depend on the OpenBLAS
+kernel; see README's determinism model.
 
 Substreams are derived, not split: ``derive_seed(seed, index)`` is a pure
 function, so any worker can reconstruct the stream for image ``index``

@@ -5,7 +5,10 @@ projector keeps the reference structure (two linear+batchnorm+ReLU blocks
 followed by a linear layer). One layer table, ``_LAYERS``, drives the
 parameter layout and the hand-written forward and backward passes over a
 single flat float64 parameter vector, so the whole composite gradient can
-be checked against finite differences and training is bit-reproducible.
+be checked against finite differences. Training bytes are the same for
+the same inputs on one OpenBLAS kernel; the products of forward, backward
+and the loss differ in their last bits between kernels (README's
+determinism model).
 
 Parameter vector layout, in order, each tensor row-major:
 

@@ -1,5 +1,7 @@
 import argparse
+import concurrent.futures
 import functools
+import json
 import multiprocessing
 import os
 import platform
@@ -77,8 +79,8 @@ class TestAugmentCommand:
     def test_workers_started_by_spawn_write_the_same_bytes(self, workspace, monkeypatch):
         # a spawned worker receives the plan and soil bank pickled
         spawn = multiprocessing.get_context("spawn")
-        monkeypatch.setattr(cli, "ProcessPoolExecutor",
-                            functools.partial(cli.ProcessPoolExecutor, mp_context=spawn))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=spawn))
         for workers in (1, 2):
             assert cli.main([
                 "augment", "--input", str(workspace / "in"),
@@ -333,6 +335,27 @@ class TestInputDirectory:
         assert capsys.readouterr().err == f"error: directory not found: {missing}\n"
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("command", ["augment", "soilbank", "bench"])
+    def test_file_given_as_directory_named(self, workspace, capsys, command):
+        image = workspace / "in" / "img_000.ppm"
+        argv = [command, "--input", str(image), "--manifest", str(workspace / "m.txt")]
+        if command != "soilbank":
+            argv += ["--policy", str(workspace / "policy.txt")]
+        if command != "bench":
+            argv += ["--output", str(workspace / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: not a directory: {image}\n"
+        assert not (workspace / "out").exists()
+
+    def test_policy_that_is_not_a_file_named(self, workspace, capsys):
+        # a directory (or a device such as /dev/null) exists but holds no policy
+        argv = ["augment", "--input", str(workspace / "in"), "--output", str(workspace / "out"),
+                "--policy", str(workspace / "bank"), "--manifest", str(workspace / "m.txt")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: policy file is not a regular file: {workspace / 'bank'}\n")
+        assert not (workspace / "out").exists()
+
 
 class TestGradcheckCommand:
     def test_passes_and_reports(self, tmp_path, capsys):
@@ -505,12 +528,12 @@ def count_pools(monkeypatch) -> list:
     """Record every process pool the CLI constructs."""
     pools = []
 
-    class CountingPool(cli.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return pools
 
 
@@ -544,15 +567,21 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (2 * len(i
 """
 
 
-def faults_per_view(mode: str, inputs, outputs) -> float:
+def run_fresh(script: str, *args) -> str:
+    """The standard output of ``script`` run in a fresh Python process
+    that imports this package, with glibc's allocator at its defaults."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
     src = str(Path(fieldaug.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _FAULTS_SCRIPT, mode, str(inputs), str(outputs)],
+        [sys.executable, "-c", script, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
-    return float(done.stdout)
+    return done.stdout
+
+
+def faults_per_view(mode: str, inputs, outputs) -> float:
+    return float(run_fresh(_FAULTS_SCRIPT, mode, inputs, outputs))
 
 
 @pytest.fixture(scope="module")
@@ -588,12 +617,12 @@ class TestFreedMemory:
     def test_pool_workers_set_the_allocator(self, monkeypatch):
         initializers = []
 
-        class RecordingPool(cli.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 initializers.append((kwargs.get("initializer"), kwargs.get("initargs")))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         with cli._worker_pool(2, {}, None) as pool:
             assert pool is not None
         [(initializer, initargs)] = initializers
@@ -603,6 +632,54 @@ class TestFreedMemory:
         monkeypatch.setattr(cli, "_RUN", {})
         initializer(*initargs)
         assert calls == [1]
+
+
+# Imports `fieldaug.cli` in a fresh process, where nothing else has loaded
+# a module yet, runs each command of argv[2], and prints, as its last
+# line, which modules of argv[1] are loaded after the import and after
+# each command.
+_LOADED_SCRIPT = """
+import json, sys
+from fieldaug import cli
+names, commands = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+seen = [["import", 0, [name for name in names if name in sys.modules]]]
+for argv in commands:
+    code = cli.main(argv)
+    seen.append([argv[0], code, [name for name in names if name in sys.modules]])
+print(json.dumps(seen))
+"""
+
+# what only other commands, or a pool of more than one worker, run
+NOT_IMPORTED_BY_AUGMENT = ("fieldaug.metrics", "statistics", "concurrent.futures.process",
+                           "multiprocessing")
+
+
+class TestImportsOnlyWhatRuns:
+    def test_augment_and_soilbank_load_no_module_they_do_not_run(self, workspace):
+        write_corpus(workspace / "one", count=1, size=16)
+        label_map = mx.save_label_map(np.zeros((4, 4), np.uint8))
+        for side in ("pred", "gt"):
+            (workspace / side).mkdir()
+            (workspace / side / "a.pgm").write_bytes(label_map)
+
+        def at(name):
+            return str(workspace / name)
+
+        commands = [
+            ["augment", "--input", at("one"), "--output", at("views"),
+             "--policy", at("policy.txt"), "--workers", "1"],
+            ["soilbank", "--input", at("bank"), "--output", at("soil")],
+            # the control: eval loads the metrics module
+            ["eval", "--task", "semantic", "--pred", at("pred"), "--gt", at("gt"),
+             "--csv", at("m.csv")],
+        ]
+        for argv in commands:
+            argv += ["--manifest", at(f"{argv[0]}.manifest.txt")]
+        out = run_fresh(_LOADED_SCRIPT, json.dumps(NOT_IMPORTED_BY_AUGMENT), json.dumps(commands))
+        seen = json.loads(out.splitlines()[-1])
+        assert seen == [["import", 0, []], ["augment", 0, []], ["soilbank", 0, []],
+                        ["eval", 0, ["fieldaug.metrics"]]]
+        assert len(list((workspace / "views").glob("*.ppm"))) == 2
 
 
 class TestBenchCommand:
@@ -728,7 +805,7 @@ class TestCountFlags:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(cli, "_RUN", {})
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         manifest = workspace / f"{command}.manifest.txt"
@@ -1085,6 +1162,52 @@ class TestManifestOnFailure:
             "command", "argv", "status", "error", "wall_seconds"]
         escaped = str(missing).encode("unicode_escape").decode()
         assert escaped in lines[1] and escaped in lines[3]
+
+
+class TestNumericEnvironment:
+    """Manifests record what a run's bytes can depend on beyond its inputs."""
+
+    KEYS = ("numpy_version", "blas", "blas_core", "blas_threads")
+
+    @staticmethod
+    def recorded(manifest: Path) -> dict:
+        pairs = dict(line.split("=", 1) for line in manifest.read_text().splitlines())
+        return {key: pairs.get(key) for key in TestNumericEnvironment.KEYS}
+
+    def test_augment_pretrain_and_order_sweep_record_it(self, workspace):
+        policy = workspace / "blur.policy"
+        policy.write_text("gaussian_blur 0.9\nrandom_erasing 1.0\n")
+        small = ["--synthetic", "8", "--policy", str(policy)]
+        config = workspace / "train.cfg"
+        config.write_text("batch_size=4\nembed_dim=4\ninput_size=8\nmax_steps=1\n")
+        runs = {
+            "augment": ["augment", "--input", str(workspace / "in"),
+                        "--output", str(workspace / "views"),
+                        "--policy", str(workspace / "policy.txt")],
+            "pretrain": ["pretrain", *small, "--config", str(config),
+                         "--out", str(workspace / "m.ckpt")],
+            "order-sweep": ["order-sweep", "--full", "--names", "gaussian_blur", *small,
+                            "--out-dir", str(workspace / "sweep"), "--steps", "1",
+                            "--batch", "4", "--embed-dim", "4", "--input-size", "8"],
+        }
+        expected = dict(cli._numeric_environment())
+        assert expected["numpy_version"] == np.__version__
+        for command, argv in runs.items():
+            manifest = workspace / f"{command}.manifest.txt"
+            assert cli.main(argv + ["--manifest", str(manifest)]) == 0, command
+            assert self.recorded(manifest) == expected, command
+
+    def test_unknown_where_numpy_has_no_readable_openblas(self, workspace, monkeypatch):
+        # no numpy.libs directory beside numpy, and no BLAS in its build config
+        monkeypatch.setattr(cli, "_openblas_probes",
+                            functools.cache(cli._openblas_probes.__wrapped__))
+        monkeypatch.setattr(cli.np, "__file__", str(workspace / "numpy" / "__init__.py"))
+        monkeypatch.setattr(cli.np, "show_config", lambda mode: {})
+        manifest = workspace / "m.txt"
+        assert cli.main(["soilbank", "--input", str(workspace / "bank"),
+                         "--output", str(workspace / "soil"), "--manifest", str(manifest)]) == 0
+        assert self.recorded(manifest) == {"numpy_version": np.__version__, "blas": "unknown",
+                                           "blas_core": "unknown", "blas_threads": "unknown"}
 
 
 class TestInterruptedWrite:

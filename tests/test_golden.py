@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import fieldaug
-from fieldaug import augment, tinytrain
+from fieldaug import augment, cli, tinytrain
 from fieldaug.policy import AUGMENTATION_NAMES, Policy, PolicyEntry, apply_policy
 from fieldaug.policy import default_policy, make_views
 from fieldaug.rng import RandomStream
@@ -210,5 +210,7 @@ def test_desk_pretrain_checkpoint_and_trace():
         env=env, capture_output=True, text=True, timeout=600, check=True,
     )
     checkpoint, trace = done.stdout.split()
-    assert checkpoint == "e8c78d4272baed097f190d32023f35144bb22ded90954f0d4a3048793be6aa33"
+    core = dict(cli._numeric_environment())["blas_core"]
+    assert checkpoint == "e8c78d4272baed097f190d32023f35144bb22ded90954f0d4a3048793be6aa33", (
+        f"pinned on OpenBLAS's SkylakeX and Cooperlake cores; this run's core is {core}")
     assert trace == "66cf542938f91e3a8dc92c754fd871d04eb12615f60183bf2c3d299e7fefe045"
