@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +94,14 @@ _HUE_SOURCES = np.array(
 )
 
 
+def _check_finite(**values: float) -> None:
+    """A ValueError naming the first value that is NaN or infinite, so a
+    kernel fails before any work rather than casting NaN pixels to bytes."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # affine transform
 # ---------------------------------------------------------------------------
@@ -130,27 +139,61 @@ def sample_affine(
     )
 
 
+def _fma(a: float, b: float, c: float) -> float:
+    """``a * b + c`` rounded once, as an FMA instruction rounds it
+    (``math.fma`` needs Python 3.13): exact integer arithmetic on the
+    operands' ratios, then one int division, which CPython rounds
+    correctly. An exact zero is +0.0."""
+    (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    return (na * nb * dc + nc * da * db) / (da * db * dc)
+
+
+def _affine_inverse(p: AffineParams) -> tuple[float, float, float, float]:
+    """The inverse of scale * (rotation @ shear), row-major, in Python
+    floats with the bits that numpy's matrix product and LAPACK inverse
+    give on OpenBLAS's SkylakeX kernels, whatever the CPU. Each product
+    entry is one FMA, then scaled; the inverse is an LU solve with partial
+    pivoting against the identity. A ValueError if |det| = |u11 * u22| <
+    1e-12."""
+    cos_t = math.cos(p.rotation)
+    sin_t = math.sin(p.rotation)
+    shear = ((1.0, p.shear_x), (p.shear_y, 1.0))
+    (a, b), (c, d) = [[p.scale * _fma(r1, shear[1][j], r0 * shear[0][j]) for j in (0, 1)]
+                      for r0, r1 in ((cos_t, -sin_t), (sin_t, cos_t))]
+    swap = abs(c) > abs(a)
+    if swap:
+        (a, b), (c, d) = (c, d), (a, b)
+    # for finite parameters, a pivot this small (zero too) puts |det| far
+    # below 1e-12, and its reciprocal may overflow
+    if abs(a) < sys.float_info.min:
+        raise ValueError("singular affine matrix")
+    l21 = c * (1 / a)
+    u22 = d - l21 * b
+    if abs(a * u22) < 1e-12:
+        raise ValueError("singular affine matrix")
+    columns = []
+    for y1, y2 in ((0.0, 1.0), (1.0, 0.0)) if swap else ((1.0, 0.0), (0.0, 1.0)):
+        x2 = (y2 - l21 * y1) * (1 / u22)
+        columns.append((_fma(-b, x2, y1) * (1 / a), x2))
+    (i00, i10), (i01, i11) = columns
+    return i00, i01, i10, i11
+
+
 def apply_affine(img: np.ndarray, p: AffineParams) -> np.ndarray:
     """Warp about the image center with scale * rotation * shear, then
     translate. Output keeps the input size; uncovered pixels blend with
     the per-channel mean of the source image."""
+    _check_finite(**vars(p))
     img = ensure_u8(img)
     h, w = img.shape[:2]
-    cos_t = math.cos(p.rotation)
-    sin_t = math.sin(p.rotation)
-    rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
-    shear = np.array([[1.0, p.shear_x], [p.shear_y, 1.0]])
-    fwd = p.scale * (rot @ shear)
-    if abs(np.linalg.det(fwd)) < 1e-12:
-        raise ValueError("singular affine matrix")
-    inv = np.linalg.inv(fwd)
+    i00, i01, i10, i11 = _affine_inverse(p)
 
     cx = (w - 1) / 2.0
     cy = (h - 1) / 2.0
     dx = np.arange(w, dtype=np.float64) - cx - p.t_x
     dy = (np.arange(h, dtype=np.float64) - cy - p.t_y)[:, None]
-    src_x = inv[0, 0] * dx + inv[0, 1] * dy + cx
-    src_y = inv[1, 0] * dx + inv[1, 1] * dy + cy
+    src_x = i00 * dx + i01 * dy + cx
+    src_y = i10 * dx + i11 * dy + cy
 
     sampled = bilinear_sample_grid(img, src_x, src_y, channel_mean(img))
     return u8_from_float(sampled)
@@ -231,6 +274,7 @@ def color_jitter(img: np.ndarray, p: ColorJitterParams) -> np.ndarray:
     All stages run unclamped in float; the single clamp to [0, 255]
     happens at the final byte conversion.
     """
+    _check_finite(**vars(p))
     img = ensure_u8(img)
     x = img.astype(np.float64)
     x *= p.brightness
@@ -278,6 +322,7 @@ def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian, radius ceil(3*sigma), clamp-to-edge borders,
     horizontal pass then vertical pass."""
+    _check_finite(sigma=sigma)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     img = ensure_u8(img)

@@ -91,7 +91,7 @@ def _openblas_probes():
 def _numeric_environment() -> list[tuple[str, str]]:
     """numpy's version, its BLAS's name and version, and the core and
     thread count that OpenBLAS reports, each "unknown" where it cannot be
-    read. Affine view bytes and training bytes depend on the core. numpy's
+    read. Training bytes depend on the core; view bytes do not. numpy's
     build configuration names the core OpenBLAS was built for, not the one
     it picked at load, so the core is asked of the library."""
     core = threads = "unknown"
@@ -182,7 +182,10 @@ def _soil_bank(policy_path: Path, pol: Policy, needed: bool,
         bank_dir = Path(pol.soil_bank_path)
         if not bank_dir.is_absolute():
             bank_dir = policy_path.parent / bank_dir
-        bank = augment.build_soil_bank(_read_ppms(bank_dir), pol.theta)
+        images = _read_ppms(bank_dir)
+        if not images:
+            raise UsageError(f"soil bank {bank_dir} has no .ppm images")
+        bank = augment.build_soil_bank(images, pol.theta)
         if len(bank) == 0:
             raise UsageError(f"soil bank {bank_dir} admitted no images: no image has a vegetation "
                              f"fraction below {augment.SOIL_MAX_FRACTION} at theta {pol.theta}")

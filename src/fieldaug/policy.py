@@ -80,10 +80,11 @@ DEFAULT_PROBABILITIES = {
 PARAMETERS = {
     "affine": {
         # det(scale * rotation * shear) = scale^2 * (1 - shear_x * shear_y),
-        # and apply_affine rejects |det| < 1e-12. scale >= 0.01 and
-        # |shear| <= 1 - 1e-8 give det >= 1e-4 * (1 - (1 - 1e-8)^2)
-        # = 1e-4 * 2e-8 = 2e-12; one more 9 of shear (2e-13) or scale
-        # 0.005 (5e-13) is singular. scale <= 100 keeps det <= 2e4
+        # and apply_affine rejects |det| < 1e-12, with det the product of
+        # its LU pivots u11 * u22. scale >= 0.01 and |shear| <= 1 - 1e-8
+        # give det >= 1e-4 * (1 - (1 - 1e-8)^2) = 1e-4 * 2e-8 = 2e-12; one
+        # more 9 of shear (2e-13) or scale 0.005 (5e-13) is singular.
+        # scale <= 100 keeps det <= 2e4
         "scale": (augment.SCALE_RANGE, {">": 0, ">=": 0.01, "<=": 100}),
         # a range's width must be finite for uniform() to draw from it;
         # within 1e6 a drawn angle keeps a resolution of about 1e-10

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,6 +76,17 @@ BN_MOMENTUM = 0.1
 CHECKPOINT_MAGIC = b"BTCK"
 CHECKPOINT_VERSION = 1
 
+# The TrainConfig fields a checkpoint stores, in file order, with struct codes
+# ("d" float64, "I" and "Q" unsigned 32 and 64 bits): the header's dims, between
+# the version and the fixed widths, then the config block (max_steps None is 0).
+# validate and load_train_config read each field's kind; validate its width.
+_HEADER_DIMS = {"input_size": "I", "embed_dim": "I"}
+_CONFIG_BLOCK = {"batch_size": "I", "epochs": "I", "max_steps": "Q",
+                 "learning_rate": "d", "weight_decay": "d", "lam": "d", "seed": "Q"}
+_STORED = _HEADER_DIMS | _CONFIG_BLOCK
+_HEADER = struct.Struct("<4sI" + "".join(_HEADER_DIMS.values()) + "3IQ")
+_CONFIG = struct.Struct("<" + "".join(_CONFIG_BLOCK.values()))
+
 
 @dataclass
 class TrainConfig:
@@ -94,28 +105,25 @@ class TrainConfig:
     max_steps: int | None = None
 
     def validate(self) -> None:
-        for name in ("batch_size", "learning_rate", "weight_decay", "epochs",
-                     "lam", "embed_dim", "input_size"):
+        for name, code in _STORED.items():
             value = getattr(self, name)
-            # ints are finite, and isfinite overflows on those beyond float range
-            if value is None or not isinstance(value, int) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0 and not (name == "weight_decay" and value == 0):
+            if value is None and name == "max_steps":
+                continue
+            if code == "d":
+                # ints are finite, and isfinite overflows on those beyond float range
+                if value is None or not isinstance(value, int) and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+            elif not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value}")
+            bits = 8 * struct.calcsize(code)
+            if name == "seed" and not 0 <= value < 2 ** bits:
+                raise ValueError(f"seed must be in [0, 2**{bits}), got {value}")
+            if name != "seed" and (value < 0 or value == 0 and name != "weight_decay"):
                 raise ValueError(f"{name} must be positive, got {value}")
+            if code != "d" and value >= 2 ** bits:
+                raise ValueError(f"{name} must be < 2**{bits}, got {value}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 for batch statistics")
-        if self.max_steps is not None and self.max_steps <= 0:
-            raise ValueError("max_steps must be positive when set")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        # save_checkpoint packs these fields as unsigned integers this wide
-        for name, bits in (("batch_size", 32), ("epochs", 32), ("embed_dim", 32),
-                           ("input_size", 32), ("max_steps", 64), ("seed", 64)):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value}")
-            if value is not None and value >= 2 ** bits:
-                raise ValueError(f"{name} must be < 2**{bits}, got {value}")
 
 
 # One row per layer, input to output: name, output width (None: embed_dim),
@@ -457,65 +465,57 @@ def save_checkpoint(ckpt: Checkpoint) -> bytes:
     step u64, config (batch u32, epochs u32, max_steps u64 with 0 = none,
     lr f64, wd f64, lambda f64, seed u64), then length-prefixed f64
     parameter and buffer vectors."""
-    cfg = ckpt.config
-    head = struct.pack(
-        "<4sI5IQ", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-        cfg.input_size, cfg.embed_dim, ENC_HIDDEN, ENC_OUT, PROJ_HIDDEN,
-        ckpt.step,
-    )
-    cfg_blob = struct.pack(
-        "<IIQdddQ", cfg.batch_size, cfg.epochs, cfg.max_steps or 0,
-        cfg.learning_rate, cfg.weight_decay, cfg.lam, cfg.seed,
-    )
+    stored = [getattr(ckpt.config, name) for name in _STORED]
+    stored = [0 if value is None else value for value in stored]  # max_steps None
+    dims = len(_HEADER_DIMS)
     params = np.ascontiguousarray(ckpt.params, dtype="<f8")
     buffers = np.ascontiguousarray(ckpt.buffers, dtype="<f8")
     return (
-        head + cfg_blob
+        _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *stored[:dims],
+                     ENC_HIDDEN, ENC_OUT, PROJ_HIDDEN, ckpt.step)
+        + _CONFIG.pack(*stored[dims:])
         + struct.pack("<Q", params.size) + params.tobytes()
         + struct.pack("<Q", buffers.size) + buffers.tobytes()
     )
 
 
 def load_checkpoint(data: bytes) -> Checkpoint:
-    def take(fmt, offset):
-        size = struct.calcsize(fmt)
-        if offset + size > len(data):
-            raise CheckpointError("truncated checkpoint")
-        return struct.unpack_from(fmt, data, offset), offset + size
+    pos = 0
 
-    (magic, version, input_size, embed_dim, enc_h, enc_o, proj_h, step), pos = take("<4sI5IQ", 0)
+    def take(size: int, what: str = "checkpoint") -> int:
+        """The offset of the next ``size`` bytes; the cursor moves past them."""
+        nonlocal pos
+        if pos + size > len(data):
+            raise CheckpointError(f"truncated {what}")
+        pos += size
+        return pos - size
+
+    magic, version, *dims, enc_h, enc_o, proj_h, step = _HEADER.unpack_from(data, take(_HEADER.size))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported version {version}")
     if (enc_h, enc_o, proj_h) != (ENC_HIDDEN, ENC_OUT, PROJ_HIDDEN):
-        raise CheckpointError(
-            f"architecture mismatch: {(enc_h, enc_o, proj_h)} vs "
-            f"{(ENC_HIDDEN, ENC_OUT, PROJ_HIDDEN)}"
-        )
-    (batch, epochs, max_steps, lr, wd, lam, seed), pos = take("<IIQdddQ", pos)
-    cfg = TrainConfig(
-        batch_size=batch, learning_rate=lr, weight_decay=wd, epochs=epochs,
-        lam=lam, seed=seed, embed_dim=embed_dim, input_size=input_size,
-        max_steps=max_steps or None,
-    )
+        raise CheckpointError(f"architecture mismatch: {(enc_h, enc_o, proj_h)} vs "
+                              f"{(ENC_HIDDEN, ENC_OUT, PROJ_HIDDEN)}")
+    config = _CONFIG.unpack_from(data, take(_CONFIG.size))
+    cfg = TrainConfig(**dict(zip(_STORED, [*dims, *config])))
+    cfg.max_steps = cfg.max_steps or None
     try:
         cfg.validate()
     except ValueError as exc:
         raise CheckpointError(f"invalid config: {exc}") from None
 
-    def take_f64s(offset, expected, what):
-        (count,), offset = take("<Q", offset)
+    specs = _param_specs(cfg.input_size * cfg.input_size * 3, cfg.embed_dim)
+    vectors = []
+    for what, expected in (("parameter", sum(int(np.prod(s)) for _, s in specs)),
+                           ("buffer", 4 * PROJ_HIDDEN)):
+        (count,) = struct.unpack_from("<Q", data, take(8))
         if count != expected:
             raise CheckpointError(f"{what} count {count}, expected {expected}")
-        end = offset + count * 8
-        if end > len(data):
-            raise CheckpointError(f"truncated {what} payload")
-        return np.frombuffer(data, dtype="<f8", count=count, offset=offset).copy(), end
-
-    param_count = sum(int(np.prod(s)) for _, s in _param_specs(input_size * input_size * 3, embed_dim))
-    params, pos = take_f64s(pos, param_count, "parameter")
-    buffers, pos = take_f64s(pos, 4 * PROJ_HIDDEN, "buffer")
+        offset = take(count * 8, f"{what} payload")
+        vectors.append(np.frombuffer(data, dtype="<f8", count=count, offset=offset).copy())
+    params, buffers = vectors
     if pos != len(data):
         raise CheckpointError(f"{len(data) - pos} trailing bytes")
     if not np.all(np.isfinite(params)):
@@ -670,21 +670,20 @@ def make_synthetic_corpus(count: int, size: int = 16, seed: int = 0) -> list[np.
 
 def load_train_config(text: str | bytes) -> TrainConfig:
     """key=value lines, '#' comments; unknown keys rejected with the line
-    number."""
-    kinds = {f.name: f.type for f in fields(TrainConfig)}  # annotation strings
+    number. Values parse as their field's kind; max_steps=none unsets it."""
     cfg = TrainConfig()
     first_line = {}
     for line_no, line in _text_lines(text):
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not sep or key not in kinds:
+        if not sep or key not in _STORED:
             raise ValueError(f"unknown config line {line_no}: {line!r}")
         _first_line(first_line, key, line_no)
         try:
-            if kinds[key] == "int | None" and value in ("", "none"):
+            if key == "max_steps" and value in ("", "none"):
                 setattr(cfg, key, None)
             else:
-                setattr(cfg, key, float(value) if kinds[key] == "float" else int(value))
+                setattr(cfg, key, float(value) if _STORED[key] == "d" else int(value))
         except ValueError:
             raise ValueError(f"invalid value for {key} (line {line_no}): {value!r}") from None
         # the defaults are valid, so a failure here is this line's value

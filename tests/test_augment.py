@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from fieldaug.rng import RandomStream
 from fieldaug.vegmask import vegetation_fraction
 
 from conftest import make_plant_image, make_soil_images
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestSampleAffine:
@@ -65,12 +68,33 @@ class TestApplyAffine:
         with pytest.raises(ValueError, match="singular"):
             au.apply_affine(random_image, p)
 
+    @pytest.mark.parametrize("scale", [0.0, 5e-324, 1e-310, 1e-200])
+    def test_vanishing_scale_is_singular(self, random_image, scale):
+        # det = scale^2 * (1 - shear_x * shear_y) underflows; a pivot too
+        # small to invert must give the same verdict
+        with pytest.raises(ValueError, match="^singular affine matrix$"):
+            au.apply_affine(random_image, au.AffineParams(scale, 0.3, 0.5, -0.5, 0.0, 0.0))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(au.AffineParams)])
+    def test_non_finite_parameter_names_its_field(self, random_image, field, value):
+        p = dataclasses.replace(au.AffineParams(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), **{field: value})
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+            au.apply_affine(random_image, p)
+
 
 class TestColorJitter:
     def test_identity_parameters(self, random_image):
         p = au.ColorJitterParams(1.0, 1.0, 1.0, 0.0)
         out = au.color_jitter(random_image, p)
         assert np.abs(out.astype(int) - random_image.astype(int)).max() <= 1
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(au.ColorJitterParams)])
+    def test_non_finite_parameter_names_its_field(self, random_image, field, value):
+        p = dataclasses.replace(au.ColorJitterParams(1.0, 1.0, 1.0, 0.0), **{field: value})
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+            au.color_jitter(random_image, p)
 
     def test_zero_brightness_is_black(self, random_image):
         out = au.color_jitter(random_image, au.ColorJitterParams(0.0, 1.0, 1.0, 0.0))
@@ -118,6 +142,11 @@ class TestGaussianBlur:
     def test_invalid_sigma(self, random_image):
         with pytest.raises(ValueError, match="sigma"):
             au.gaussian_blur(random_image, 0.0)
+
+    @pytest.mark.parametrize("sigma", NON_FINITE)
+    def test_non_finite_sigma_named(self, random_image, sigma):
+        with pytest.raises(ValueError, match=rf"^sigma must be finite, got {sigma}$"):
+            au.gaussian_blur(random_image, sigma)
 
 
 class TestMixing:

@@ -321,6 +321,16 @@ class TestSoilbankCommand:
             "vegetation fraction below 0.05 at theta 0.0\n")
         assert not (tmp_path / "out").exists()
 
+    def test_bank_directory_without_images_says_so(self, tmp_path, capsys):
+        write_corpus(tmp_path / "in", count=2)
+        (tmp_path / "bank").mkdir()
+        (tmp_path / "bank" / "index.txt").write_text("")
+        write_policy(tmp_path / "policy.txt", tmp_path / "bank")
+        assert cli.main(["augment", "--input", str(tmp_path / "in"), "--output",
+                         str(tmp_path / "out"), "--policy", str(tmp_path / "policy.txt")]) == 2
+        assert capsys.readouterr().err == f"error: soil bank {tmp_path / 'bank'} has no .ppm images\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestInputDirectory:
     @pytest.mark.parametrize("command", ["augment", "soilbank", "bench"])

@@ -301,12 +301,8 @@ def test_apply_affine_fill_is_the_float_channel_mean(h, w, kind, monkeypatch):
     assert_same_bytes(fills[0], img.reshape(-1, 3).mean(axis=0))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(FUZZ_SHAPES), st.integers(0, 2 ** 64 - 1))
-def test_apply_affine_coordinates_match_meshgrid(shape, seed):
-    h, w = shape
+def assert_affine_grid_matches_meshgrid(h, w, p):
     img = np.zeros((h, w, 3), np.uint8)
-    p = A.sample_affine(RandomStream(seed), w, h)
     grids = []
 
     def recording_sample_grid(img, xs, ys, fill):
@@ -320,6 +316,66 @@ def test_apply_affine_coordinates_match_meshgrid(shape, seed):
     want_x, want_y = reference_affine_coordinates(h, w, p)
     assert_same_bytes(xs, want_x)
     assert_same_bytes(ys, want_y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FUZZ_SHAPES), st.integers(0, 2 ** 64 - 1))
+def test_apply_affine_coordinates_match_meshgrid(shape, seed):
+    h, w = shape
+    assert_affine_grid_matches_meshgrid(h, w, A.sample_affine(RandomStream(seed), w, h))
+
+
+# the shear bound of PARAMETERS["affine"]; with scale 0.01 it gives det 2e-12
+SHEAR_BOUND = 0.99999999
+# (scale, rotation, shear_x, shear_y) across PARAMETERS["affine"]'s bounds
+AFFINE_BOUND_CASES = [
+    (0.01, 0.0, SHEAR_BOUND, SHEAR_BOUND),
+    (0.01, math.pi / 2, SHEAR_BOUND, SHEAR_BOUND),
+    (0.01, -2.5, -SHEAR_BOUND, -SHEAR_BOUND),
+    (100.0, 1e6, -SHEAR_BOUND, SHEAR_BOUND),
+    (100.0, -1e6, 0.0, 0.0),
+    (1.0, 0.0, 0.0, 0.0),
+    (0.5, 0.0, 0.3, -0.7),
+    (0.5, 2.0, 0.3, -0.7),
+    (2.0, 0.0, -SHEAR_BOUND, 0.0),
+]
+
+
+def _pivot_swaps(scale, rotation, shear_x, shear_y):
+    cos_t, sin_t = math.cos(rotation), math.sin(rotation)
+    return abs(scale * (sin_t + cos_t * shear_y)) > abs(scale * (cos_t - sin_t * shear_x))
+
+
+def test_affine_bound_cases_cover_both_pivots_and_det_near_its_floor():
+    assert {_pivot_swaps(*case) for case in AFFINE_BOUND_CASES} == {False, True}
+    dets = [scale ** 2 * (1 - sx * sy) for scale, _, sx, sy in AFFINE_BOUND_CASES]
+    assert 1.5e-12 < min(dets) < 2.5e-12
+
+
+@pytest.mark.parametrize("h,w", ((1, 1), (7, 23)))
+@pytest.mark.parametrize("case", AFFINE_BOUND_CASES)
+def test_apply_affine_coordinates_match_meshgrid_across_bounds(h, w, case):
+    assert_affine_grid_matches_meshgrid(h, w, A.AffineParams(*case, 0.3 * w, -1e6 * h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FUZZ_SHAPES[:3]), st.floats(0.01, 100.0), st.floats(-1e6, 1e6),
+       st.floats(-SHEAR_BOUND, SHEAR_BOUND), st.floats(-SHEAR_BOUND, SHEAR_BOUND),
+       st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+def test_apply_affine_coordinates_match_meshgrid_over_the_admitted_range(
+        shape, scale, rotation, shear_x, shear_y, frac_x, frac_y):
+    h, w = shape
+    p = A.AffineParams(scale, rotation, shear_x, shear_y, frac_x * w, frac_y * h)
+    assert_affine_grid_matches_meshgrid(h, w, p)
+
+
+@pytest.mark.parametrize("scale, rotation", [(1.0, 0.0), (0.01, 0.7), (100.0, -2.0)])
+def test_apply_affine_rejects_a_singular_matrix(scale, rotation):
+    cos_t, sin_t = math.cos(rotation), math.sin(rotation)
+    forward = scale * (np.array([[cos_t, -sin_t], [sin_t, cos_t]]) @ np.ones((2, 2)))
+    assert abs(np.linalg.det(forward)) < 1e-12
+    with pytest.raises(ValueError, match="singular affine matrix"):
+        A.apply_affine(np.zeros((4, 4, 3), np.uint8), A.AffineParams(scale, rotation, 1.0, 1.0, 0, 0))
 
 
 @pytest.mark.parametrize("h,w", SHAPES)

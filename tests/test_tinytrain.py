@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import typing
 import weakref
 
 import numpy as np
@@ -558,6 +560,20 @@ class TestTrainConfigText:
     def test_comments_and_none(self):
         cfg = tt.load_train_config("# cfg\nmax_steps=none\n")
         assert cfg.max_steps is None
+
+    def test_keys_parse_the_same_when_field_types_are_real_types(self, monkeypatch):
+        # a dataclass field's .type is its annotation's text only under
+        # `from __future__ import annotations`; parsing must not depend on it
+        fields = dataclasses.fields(tt.TrainConfig)
+        hints = typing.get_type_hints(tt.TrainConfig)
+        for field in fields:
+            monkeypatch.setattr(field, "type", hints[field.name])
+        cfg = tt.TrainConfig(batch_size=8, learning_rate=0.25, weight_decay=0.0, epochs=3,
+                             lam=0.2, seed=12, embed_dim=4, input_size=8, max_steps=40)
+        text = "".join(f"{field.name}={getattr(cfg, field.name)}\n" for field in fields)
+        assert tt.load_train_config(text) == cfg
+        for unset in ("none", ""):
+            assert tt.load_train_config(f"max_steps={unset}\n").max_steps is None
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
