@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imagecore import (
+    _is_finite,
     bilinear_resize,
     bilinear_sample_grid,
     channel_mean,
@@ -95,10 +96,11 @@ _HUE_SOURCES = np.array(
 
 
 def _check_finite(**values: float) -> None:
-    """A ValueError naming the first value that is NaN or infinite, so a
-    kernel fails before any work rather than casting NaN pixels to bytes."""
+    """A ValueError naming the first value that is NaN, infinite or an int
+    beyond float range, so a kernel fails before any work rather than
+    casting NaN pixels to bytes."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not _is_finite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -170,34 +170,24 @@ def _load_run_policy(policy_path: Path, seed_override: int | None) -> tuple[Poli
         return pol, compile_policy(pol)
 
 
-def _soil_bank(policy_path: Path, pol: Policy, needed: bool,
-               synthetic: tinytrain.TrainConfig | None = None):
+def _soil_bank(policy_path: Path, pol: Policy, needed: bool):
     """The soil bank of a run: None unless it is ``needed``; else the
-    directory the policy names, relative to the policy file; else, for a
-    ``--synthetic`` run, a bank of synthetic soil at the ``synthetic``
-    config's input size and seed; else a usage error."""
+    directory the policy names, relative to the policy file; else a usage
+    error."""
     if not needed:
         return None
-    if pol.soil_bank_path:
-        bank_dir = Path(pol.soil_bank_path)
-        if not bank_dir.is_absolute():
-            bank_dir = policy_path.parent / bank_dir
-        images = _read_ppms(bank_dir)
-        if not images:
-            raise UsageError(f"soil bank {bank_dir} has no .ppm images")
-        bank = augment.build_soil_bank(images, pol.theta)
-        if len(bank) == 0:
-            raise UsageError(f"soil bank {bank_dir} admitted no images: no image has a vegetation "
-                             f"fraction below {augment.SOIL_MAX_FRACTION} at theta {pol.theta}")
-        return bank
-    if synthetic is None:
-        raise UsageError(
-            f"{policy_path}: policy uses background_invariance but sets no soil_bank"
-        )
-    bank = augment.build_soil_bank(tinytrain.make_synthetic_soil(
-        32, size=synthetic.input_size, seed=derive_seed(synthetic.seed, 0xBA9C)))
+    if not pol.soil_bank_path:
+        raise UsageError(f"{policy_path}: policy uses background_invariance but sets no soil_bank")
+    bank_dir = Path(pol.soil_bank_path)
+    if not bank_dir.is_absolute():
+        bank_dir = policy_path.parent / bank_dir
+    images = _read_ppms(bank_dir)
+    if not images:
+        raise UsageError(f"soil bank {bank_dir} has no .ppm images")
+    bank = augment.build_soil_bank(images, pol.theta)
     if len(bank) == 0:
-        raise RuntimeError("synthetic soil generation admitted no images")
+        raise UsageError(f"soil bank {bank_dir} admitted no images: no image has a vegetation "
+                         f"fraction below {augment.SOIL_MAX_FRACTION} at theta {pol.theta}")
     return bank
 
 
@@ -401,17 +391,27 @@ def _cmd_soilbank(args, manifest: Manifest) -> int:
 # pretrain
 # ---------------------------------------------------------------------------
 
-def _load_dataset(args, cfg: tinytrain.TrainConfig):
-    """The ``--synthetic`` or ``--data`` training images; at least a batch."""
+def _training_inputs(args, policy_path: Path, pol: Policy, needs_bank: bool,
+                     cfg: tinytrain.TrainConfig):
+    """The soil bank and the images of a training run, at least a batch of
+    them. A ``--synthetic`` run synthesizes its images, and its bank where
+    the policy needs one and names none, at the config's input size and
+    seed; a ``--data`` run reads its images from that directory."""
+    if args.synthetic is not None and needs_bank and not pol.soil_bank_path:
+        bank = augment.build_soil_bank(tinytrain.make_synthetic_soil(
+            32, size=cfg.input_size, seed=derive_seed(cfg.seed, 0xBA9C)))
+        if len(bank) == 0:
+            raise RuntimeError("synthetic soil generation admitted no images")
+    else:
+        bank = _soil_bank(policy_path, pol, needs_bank)
     if args.synthetic is not None:
         images = tinytrain.make_synthetic_corpus(
-            args.synthetic, size=cfg.input_size, seed=derive_seed(cfg.seed, 0xDA7A)
-        )
+            args.synthetic, size=cfg.input_size, seed=derive_seed(cfg.seed, 0xDA7A))
     else:
         images = _read_ppms(Path(args.data))
     if len(images) < cfg.batch_size:
         raise UsageError(f"dataset has {len(images)} images, batch size is {cfg.batch_size}")
-    return images
+    return bank, images
 
 
 def _write_trace(path: Path, trace) -> None:
@@ -431,10 +431,7 @@ def _cmd_pretrain(args, manifest: Manifest) -> int:
 
     policy_path = Path(args.policy)
     pol, plan = _load_run_policy(policy_path, None)
-    bank = _soil_bank(policy_path, pol, plan.needs_bank,
-                      cfg if args.synthetic is not None else None)
-
-    dataset = _load_dataset(args, cfg)
+    bank, dataset = _training_inputs(args, policy_path, pol, plan.needs_bank, cfg)
 
     out_path = Path(args.out)
     trace_path = out_path.with_suffix(out_path.suffix + ".trace.csv")
@@ -615,10 +612,7 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
         raise UsageError(f"{policy_path}: policy has no entries to sweep; name them in --names")
     with _usage("--names: "):
         swept = _cell_policy(base, sweep_names)
-    bank = _soil_bank(policy_path, base, swept.needs_bank,
-                      cfg if args.synthetic is not None else None)
-
-    dataset = _load_dataset(args, cfg)
+    bank, dataset = _training_inputs(args, policy_path, base, swept.needs_bank, cfg)
 
     out_dir = Path(args.out_dir)
     manifest.add("mode", "pairs" if args.pairs else "full")

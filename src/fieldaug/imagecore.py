@@ -1,4 +1,5 @@
-"""Image containers, netpbm codecs, text-file lines, resampling, and normalization.
+"""Image containers, netpbm codecs, text-file lines, finite numbers,
+resampling, and normalization.
 
 Images are plain numpy arrays:
 
@@ -13,6 +14,7 @@ lives in :func:`u8_from_float`.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -144,7 +146,8 @@ def save_pgm(gray: np.ndarray) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# line-based text files (policies, training configs, scores.txt)
+# line-based text files (policies, training configs, scores.txt), and the
+# package's rule for a finite number
 # ---------------------------------------------------------------------------
 
 def _text_lines(text: str | bytes, error=ValueError):
@@ -169,6 +172,15 @@ def _first_line(lines: dict, key, line_no: int, error=ValueError) -> None:
     if key in lines:
         raise error(f"{key} set twice, first on line {lines[key]} (line {line_no})")
     lines[key] = line_no
+
+
+def _is_finite(value) -> bool:
+    """``math.isfinite``, except that an int beyond float range is not
+    finite (``math.isfinite`` raises OverflowError on one)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # ---------------------------------------------------------------------------

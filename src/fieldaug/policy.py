@@ -36,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import augment
-from .imagecore import _first_line, _text_lines, ensure_u8
+from .imagecore import _first_line, _is_finite, _text_lines, ensure_u8
 from .rng import SET_STEPS, RandomStream, derive_seed, prefetch, streams_per_pass
 from .vegmask import DEFAULT_THETA
 
@@ -176,8 +176,7 @@ def _entry_values(entry: PolicyEntry, where: str = "") -> dict:
     for key, value in entry.params.items():
         if key not in _override_defaults(entry.name):
             raise PolicyError(f"unknown parameter {key!r} for {entry.name}{where}")
-        # ints are finite, and isfinite overflows on those beyond float range
-        if not isinstance(value, int) and not math.isfinite(value):
+        if not _is_finite(value):
             raise PolicyError(f"{key}={value} is not finite{where}")
     # non-integers as the Python floats they save as; numpy compares a float32 in float32
     params = {k: v if isinstance(v, (int, np.integer)) else float(v) for k, v in entry.params.items()}
@@ -259,7 +258,7 @@ def validate_policy(policy: Policy, lines: dict | None = None) -> list[dict]:
             raise PolicyError(f"duplicate augmentation {entry.name!r}{where.get(index, '')}")
         seen.add(entry.name)
         merged.append(_entry_values(entry, where.get(index, "")))
-    if not math.isfinite(policy.theta):
+    if not _is_finite(policy.theta):
         raise PolicyError(f"theta={policy.theta} is not finite{where.get('theta', '')}")
     path = policy.soil_bank_path
     if path and (path.splitlines() != [path] or path != path.strip()):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import twins
-from .imagecore import _first_line, _text_lines, bilinear_resize, ensure_u8
+from .imagecore import _first_line, _is_finite, _text_lines, bilinear_resize, ensure_u8
 from .policy import Plan, Policy, compile_policy, view_pairs
 from .augment import SoilBank
 from .rng import RandomStream, below_many_many, derive_seed, streams_per_pass
@@ -110,8 +110,7 @@ class TrainConfig:
             if value is None and name == "max_steps":
                 continue
             if code == "d":
-                # ints are finite, and isfinite overflows on those beyond float range
-                if value is None or not isinstance(value, int) and not math.isfinite(value):
+                if value is None or not _is_finite(value):
                     raise ValueError(f"{name} must be finite, got {value}")
             elif not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value}")
@@ -604,11 +603,13 @@ def _noise_images(streams: list[RandomStream], size: int, bounds, offsets) -> li
 
 def _image_streams(count: int, size: int, seed: int) -> list[RandomStream]:
     """The stream of each of ``count`` synthetic images of ``size`` px; a
-    negative count or a size below 1 is a ValueError."""
-    if count < 0:
-        raise ValueError(f"image count must be >= 0, got {count}")
-    if size < 1:
-        raise ValueError(f"image size must be >= 1, got {size}")
+    count or size that is not an integer, a negative count or a size below
+    1 is a ValueError."""
+    for name, value, least in (("count", count, 0), ("size", size, 1)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"image {name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"image {name} must be >= {least}, got {value}")
     return [RandomStream(derive_seed(seed, i)) for i in range(count)]
 
 

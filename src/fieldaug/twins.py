@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .imagecore import _is_finite
+
 __all__ = [
     "BN_EPS",
     "DEFAULT_LAMBDA",
@@ -89,7 +91,7 @@ def bt_loss(c: np.ndarray, lam: float = DEFAULT_LAMBDA) -> float:
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"expected square matrix, got shape {c.shape}")
-    if not 0 < lam < np.inf:
+    if not (_is_finite(lam) and lam > 0):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     diag = np.diag(c)
     return float(((1.0 - diag) ** 2).sum() + lam * ((c - np.diag(diag)) ** 2).sum())
@@ -147,8 +149,8 @@ def finite_diff_check(
     """Max relative error between the analytic gradient and central finite
     differences, denominator max(|analytic|, |fd|, 1e-8). Reported as
     measured, coarse h included."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (_is_finite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h}")
     z1 = _as_batch(z1).copy()
     z2 = _as_batch(z2).copy()
     g1, g2, _ = bt_loss_grad(z1, z2, lam)

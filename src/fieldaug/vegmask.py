@@ -46,7 +46,12 @@ def binarize(field: np.ndarray, theta: float = DEFAULT_THETA) -> np.ndarray:
 
 
 def _offsets(k: int) -> tuple[int, int]:
-    """First and last offset of a k-wide window under the anchor convention."""
+    """First and last offset of a k-wide window under the anchor convention;
+    a width that is not an integer, or below 1, is a ValueError."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"kernel dimensions must be integers, got {k!r}")
+    if k < 1:
+        raise ValueError("kernel dimensions must be >= 1")
     lo = -((k - 1) // 2)
     return lo, lo + k - 1
 
@@ -83,15 +88,11 @@ def _window(mask: np.ndarray, cols: tuple[int, int], rows: tuple[int, int], op) 
 
 def erode(mask: np.ndarray, kw: int, kh: int) -> np.ndarray:
     """AND over the rectangular window around each pixel."""
-    if kw < 1 or kh < 1:
-        raise ValueError("kernel dimensions must be >= 1")
     return _window(mask, _offsets(kw), _offsets(kh), np.logical_and)
 
 
 def dilate(mask: np.ndarray, kw: int, kh: int) -> np.ndarray:
     """OR over the rectangular window around each pixel."""
-    if kw < 1 or kh < 1:
-        raise ValueError("kernel dimensions must be >= 1")
     return _window(mask, _offsets(kw), _offsets(kh), np.logical_or)
 
 

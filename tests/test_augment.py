@@ -11,7 +11,9 @@ from fieldaug.vegmask import vegetation_fraction
 
 from conftest import make_plant_image, make_soil_images
 
-NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# an int beyond float range is not finite either
+NON_FINITE = [float("nan"), float("inf"), float("-inf"),
+              pytest.param(10 ** 400, id="10**400")]
 
 
 class TestSampleAffine:

@@ -533,6 +533,53 @@ class TestPretrainCommand:
         ])
         assert code == 2
 
+    DESK_CONFIG = "batch_size=8\nepochs=2\nembed_dim=4\ninput_size=8\nseed=5\nmax_steps=2\n"
+
+    def _run(self, tmp_path, policy_text, *data_flags):
+        """``pretrain`` with ``data_flags`` under a policy of ``policy_text``,
+        writing into ``tmp_path / "out"``."""
+        (tmp_path / "train.cfg").write_text(self.DESK_CONFIG)
+        (tmp_path / "policy.txt").write_text(policy_text)
+        return cli.main(["pretrain", *data_flags, "--policy", str(tmp_path / "policy.txt"),
+                         "--config", str(tmp_path / "train.cfg"),
+                         "--out", str(tmp_path / "out" / "m.ckpt")])
+
+    def test_data_run_writes_artifacts(self, tmp_path):
+        write_corpus(tmp_path / "data", count=8, size=8)
+        assert self._run(tmp_path, "gaussian_blur 0.9\n", "--data", str(tmp_path / "data")) == 0
+        assert tt.load_checkpoint((tmp_path / "out" / "m.ckpt").read_bytes()).step == 2
+        assert "dataset_images=8" in (tmp_path / "out" / "m.ckpt.manifest.txt").read_text()
+
+    def test_data_smaller_than_batch_is_usage_error(self, tmp_path, capsys):
+        write_corpus(tmp_path / "data", count=5, size=8)
+        assert self._run(tmp_path, "gaussian_blur 0.9\n", "--data", str(tmp_path / "data")) == 2
+        assert capsys.readouterr().err == "error: dataset has 5 images, batch size is 8\n"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["m.ckpt.manifest.txt"]
+
+    def test_data_with_background_and_no_bank_is_usage_error_before_reading(self, tmp_path,
+                                                                            capsys):
+        # the data directory is missing: the bank is checked first
+        code = self._run(tmp_path, "background_invariance 1.000\n",
+                         "--data", str(tmp_path / "data"))
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'policy.txt'}: policy uses "
+                                           "background_invariance but sets no soil_bank\n")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["m.ckpt.manifest.txt"]
+
+    def test_synthetic_uses_the_bank_the_policy_names(self, workspace, monkeypatch):
+        banks = []
+        build = cli.augment.build_soil_bank
+
+        def recorded_build(images, *args, **kwargs):
+            banks.append([img.shape for img in images])
+            return build(images, *args, **kwargs)
+
+        monkeypatch.setattr(cli.augment, "build_soil_bank", recorded_build)
+        policy_text = f"soil_bank={workspace / 'bank'}\nbackground_invariance 1.000\n"
+        assert self._run(workspace, policy_text, "--synthetic", "16") == 0
+        # the three 24 px images of the named bank, not 32 synthetic ones
+        assert banks == [[(24, 24, 3)] * 3]
+
 
 def count_pools(monkeypatch) -> list:
     """Record every process pool the CLI constructs."""
@@ -987,7 +1034,7 @@ class TestOrderSweepCommand:
                                                             monkeypatch):
         policy = tmp_path / "policy.txt"
         policy.write_text("seed=1\n")
-        monkeypatch.setattr(cli, "_load_dataset", lambda *a: pytest.fail("dataset loaded"))
+        monkeypatch.setattr(cli, "_training_inputs", lambda *a: pytest.fail("dataset loaded"))
         monkeypatch.setattr(cli, "_soil_bank", lambda *a: pytest.fail("soil bank loaded"))
         out_dir = tmp_path / "sweep"
         assert cli.main(["order-sweep", "--full", "--policy", str(policy), "--synthetic", "64",

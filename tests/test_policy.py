@@ -297,6 +297,13 @@ class TestParameterConstraints:
         with pytest.raises(PolicyError, match="theta"):
             save_policy(pol)
 
+    def test_int_beyond_float_range_is_not_finite(self):
+        with pytest.raises(PolicyError, match=rf"^theta={10 ** 400} is not finite$"):
+            P.compile_policy(Policy(entries=[], theta=10 ** 400))
+        entry = PolicyEntry("gaussian_blur", 1.0, {"sigma_max": 10 ** 400})
+        with pytest.raises(PolicyError, match=rf"^sigma_max={10 ** 400} is not finite$"):
+            P.compile_policy(Policy(entries=[entry]))
+
     def test_constructed_policies_are_checked_too(self, plant_image):
         pol = Policy(entries=[PolicyEntry("gaussian_blur", 1.0, {"sigma_min": 0.0})])
         with pytest.raises(PolicyError, match="sigma_min"):

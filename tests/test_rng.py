@@ -323,9 +323,9 @@ def test_desk_view_batch_reads_every_draw_from_its_prefetch(monkeypatch):
 
 # numpy's Python-level wrappers: np.clip, np.sum, np.any, ndarray.mean and the like
 NUMPY_WRAPPERS = ("_core/fromnumeric.py", "_core/_methods.py", "_core/getlimits.py")
-# Python functions of numpy entered in the first desk step under numpy 2.4; 1,044
-# of them are np.linalg.det and inv in apply_affine, kept for their rounding
-DESK_STEP_NUMPY_ENTRIES = 1461
+# Python functions of numpy entered in the first desk step under numpy 2.4:
+# 405 in _core/multiarray.py and 12 in _core/shape_base.py
+DESK_STEP_NUMPY_ENTRIES = 417
 
 
 def test_desk_view_batch_enters_no_numpy_wrapper():

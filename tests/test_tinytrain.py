@@ -495,6 +495,10 @@ class TestSyntheticData:
         for size in (0, -2):
             with pytest.raises(ValueError, match=rf"^image size must be >= 1, got {size}$"):
                 make(3, size)
+        with pytest.raises(ValueError, match=r"^image count must be an integer, got 2\.5$"):
+            make(2.5, 4)
+        with pytest.raises(ValueError, match=r"^image size must be an integer, got 1\.5$"):
+            make(2, 1.5)
 
     def test_corpus_numpy_peak_stays_small(self):
         # a stream set's draws become images pass by pass; holding all
@@ -602,7 +606,8 @@ class TestTrainConfigText:
             tt.TrainConfig(batch_size=1).validate()
 
     @pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "lam"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       pytest.param(10 ** 400, id="10**400")])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             tt.TrainConfig(**{name: value}).validate()

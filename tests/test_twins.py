@@ -197,8 +197,9 @@ class TestFiniteDiffCheck:
 
     def test_rejects_bad_h(self, rng):
         z = rng.standard_normal((4, 2))
-        with pytest.raises(ValueError, match="h"):
-            tw.finite_diff_check(z, z, h=0.0)
+        for h in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^h must be positive"):
+                tw.finite_diff_check(z, z, h=h)
 
 
 class TestHelpers:

@@ -130,6 +130,11 @@ class TestMorphology:
     def test_invalid_kernel(self):
         with pytest.raises(ValueError):
             vm.erode(np.zeros((3, 3), bool), 0, 2)
+        for op in (vm.erode, vm.dilate):
+            with pytest.raises(ValueError, match=r"^kernel dimensions must be >= 1$"):
+                op(np.zeros((3, 3), bool), 2, 0)
+            with pytest.raises(ValueError, match=r"^kernel dimensions must be integers, got 1\.5$"):
+                op(np.zeros((3, 3), bool), 1.5, 2)
 
 
 class TestRefineMask:
