@@ -33,11 +33,10 @@ from .imagecore import CodecError, load_ppm, save_ppm
 from .policy import (
     AUGMENTATION_NAMES,
     Plan,
-    Policy,
-    PolicyEntry,
     compile_policy,
     load_policy,
     make_views,
+    ordered_plan,
 )
 from .rng import RandomStream, derive_seed
 
@@ -160,34 +159,33 @@ def _load(path: Path, decode, what: str):
         return decode(path.read_bytes())
 
 
-def _load_run_policy(policy_path: Path, seed_override: int | None) -> tuple[Policy, Plan]:
-    """A policy file and its plan, compiled once, with ``--seed`` replacing
+def _load_run_policy(policy_path: Path, seed_override: int | None) -> Plan:
+    """The plan of a policy file, compiled once, with ``--seed`` replacing
     its master seed when given; loading checked all but the seed."""
     pol = _load(policy_path, load_policy, "policy file")
     if seed_override is not None:
         pol.master_seed = seed_override
     with _usage("--seed: "):
-        return pol, compile_policy(pol)
+        return compile_policy(pol)
 
 
-def _soil_bank(policy_path: Path, pol: Policy, needed: bool):
-    """The soil bank of a run: None unless it is ``needed``; else the
-    directory the policy names, relative to the policy file; else a usage
-    error."""
-    if not needed:
+def _soil_bank(policy_path: Path, plan: Plan):
+    """The soil bank of a run: None unless ``plan`` needs one; else the
+    directory it names, relative to the policy file; else a usage error."""
+    if not plan.needs_bank:
         return None
-    if not pol.soil_bank_path:
+    if not plan.soil_bank_path:
         raise UsageError(f"{policy_path}: policy uses background_invariance but sets no soil_bank")
-    bank_dir = Path(pol.soil_bank_path)
+    bank_dir = Path(plan.soil_bank_path)
     if not bank_dir.is_absolute():
         bank_dir = policy_path.parent / bank_dir
     images = _read_ppms(bank_dir)
     if not images:
         raise UsageError(f"soil bank {bank_dir} has no .ppm images")
-    bank = augment.build_soil_bank(images, pol.theta)
+    bank = augment.build_soil_bank(images, plan.theta)
     if len(bank) == 0:
         raise UsageError(f"soil bank {bank_dir} admitted no images: no image has a vegetation "
-                         f"fraction below {augment.SOIL_MAX_FRACTION} at theta {pol.theta}")
+                         f"fraction below {augment.SOIL_MAX_FRACTION} at theta {plan.theta}")
     return bank
 
 
@@ -226,27 +224,27 @@ def _started(_) -> None:
     """Warm-up task: returns once a worker process is running."""
 
 
-# The plans, by bench stage (None for the whole policy), and the soil bank
-# of the command whose tasks run in this process; see _worker_pool.
+# The soil bank of the command whose tasks run in this process; see
+# _worker_pool. Each task carries its plan.
 _RUN: dict = {}
 
 
-def _start_worker(plans: dict, bank) -> None:
+def _start_worker(bank) -> None:
     _keep_freed_memory()
-    _RUN.update(plans=plans, bank=bank)
+    _RUN.update(bank=bank)
 
 
 @contextlib.contextmanager
-def _worker_pool(workers: int, plans: dict, bank):
+def _worker_pool(workers: int, bank):
     """A process pool whose workers have all been started and hold
-    ``plans`` and ``bank`` for the tasks, or None when the tasks run in
-    this process, which then holds them until the pool closes. Timed
-    regions use the pool after this returns, so they exclude pool
-    start-up. Workers started by forkserver or spawn do not inherit the
-    parent's allocator settings, so each one sets them again; this
-    process's settings are left as they are."""
+    ``bank`` for the tasks, or None when the tasks run in this process,
+    which then holds it until the pool closes. Timed regions use the pool
+    after this returns, so they exclude pool start-up. Workers started by
+    forkserver or spawn do not inherit the parent's allocator settings, so
+    each one sets them again; this process's settings are left as they
+    are."""
     if workers <= 1:
-        _RUN.update(plans=plans, bank=bank)
+        _RUN.update(bank=bank)
         try:
             yield None
         finally:
@@ -255,7 +253,7 @@ def _worker_pool(workers: int, plans: dict, bank):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                             initargs=(plans, bank)) as pool:
+                             initargs=(bank,)) as pool:
         list(pool.map(_started, range(workers)))
         yield pool
 
@@ -288,12 +286,12 @@ def _read_ppms(directory: Path) -> list[np.ndarray]:
 
 def _image_run(args, manifest: Manifest):
     """The set-up ``augment`` and ``bench`` share: the ``--input`` files,
-    the policy and its plan, the soil bank and the worker count."""
+    the policy's plan, the soil bank and the worker count."""
     input_dir = Path(args.input)
     files = _sorted_ppms(input_dir)
     policy_path = Path(args.policy)
-    pol, plan = _load_run_policy(policy_path, args.seed)
-    bank = _soil_bank(policy_path, pol, plan.needs_bank)
+    plan = _load_run_policy(policy_path, args.seed)
+    bank = _soil_bank(policy_path, plan)
     # worker processes worth starting: no more than the inputs or CPUs
     workers = min(args.workers, len(files), os.cpu_count() or 1)
     manifest.add("input", input_dir)
@@ -302,7 +300,7 @@ def _image_run(args, manifest: Manifest):
     manifest.add("workers_used", workers)
     manifest.add("policy", policy_path)
     manifest.add("master_seed", plan.master_seed)
-    return files, pol, plan, bank, workers
+    return files, plan, bank, workers
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +308,14 @@ def _image_run(args, manifest: Manifest):
 # ---------------------------------------------------------------------------
 
 def _augment_task(task) -> tuple[str, str]:
-    """Views for one input file; any failure is returned as a message
-    against the file instead of stopping the other inputs."""
-    index, in_path, out_dir = task
+    """Views for one input file, made with the task's plan; any failure is
+    returned as a message against the file instead of stopping the other
+    inputs."""
+    index, in_path, out_dir, plan = task
     in_path = Path(in_path)
     try:
         img = load_ppm(in_path.read_bytes())
-        views = make_views(img, _RUN["plans"][None], index, soil_bank=_RUN["bank"])
+        views = make_views(img, plan, index, soil_bank=_RUN["bank"])
         _write_files({
             Path(out_dir) / f"{in_path.stem}.v{k}.ppm": save_ppm(view)
             for k, view in enumerate(views, start=1)
@@ -327,15 +326,15 @@ def _augment_task(task) -> tuple[str, str]:
 
 
 def _cmd_augment(args, manifest: Manifest) -> int:
-    files, _, plan, bank, workers = _image_run(args, manifest)
+    files, plan, bank, workers = _image_run(args, manifest)
     out_dir = Path(args.output)
     manifest.add("output", out_dir)
     if not files:
         manifest.add("views_written", 0)
         return EXIT_OK
 
-    tasks = [(index, str(path), str(out_dir)) for index, path in enumerate(files)]
-    with _worker_pool(workers, {None: plan}, bank) as pool:
+    tasks = [(index, str(path), str(out_dir), plan) for index, path in enumerate(files)]
+    with _worker_pool(workers, bank) as pool:
         t0 = time.perf_counter()
         results = _pool_map(_augment_task, tasks, pool)
         elapsed = time.perf_counter() - t0
@@ -358,14 +357,18 @@ def _cmd_soilbank(args, manifest: Manifest) -> int:
     input_dir = Path(args.input)
     files = _sorted_ppms(input_dir)
     out_dir = Path(args.output)
+    manifest.add("input", input_dir)
+    manifest.add("output", out_dir)
+    manifest.add("theta", args.theta)
+    manifest.add("max_fraction", args.max_fraction)
 
     admitted = []
     failures = 0
     for path in files:
-        data = path.read_bytes()
         try:
+            data = path.read_bytes()
             img = load_ppm(data)
-        except CodecError as exc:
+        except (OSError, CodecError) as exc:  # reported per file, exit 1
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             failures += 1
             continue
@@ -378,10 +381,6 @@ def _cmd_soilbank(args, manifest: Manifest) -> int:
 
     index_lines = [f"{name} {fraction!r}\n" for name, fraction in admitted]
     _write_files({out_dir / "index.txt": "".join(index_lines).encode()})
-    manifest.add("input", input_dir)
-    manifest.add("output", out_dir)
-    manifest.add("theta", args.theta)
-    manifest.add("max_fraction", args.max_fraction)
     manifest.add("admitted", len(admitted))
     manifest.add("failed", failures)
     return EXIT_RUNTIME if failures else EXIT_OK
@@ -391,19 +390,18 @@ def _cmd_soilbank(args, manifest: Manifest) -> int:
 # pretrain
 # ---------------------------------------------------------------------------
 
-def _training_inputs(args, policy_path: Path, pol: Policy, needs_bank: bool,
-                     cfg: tinytrain.TrainConfig):
-    """The soil bank and the images of a training run, at least a batch of
-    them. A ``--synthetic`` run synthesizes its images, and its bank where
-    the policy needs one and names none, at the config's input size and
-    seed; a ``--data`` run reads its images from that directory."""
-    if args.synthetic is not None and needs_bank and not pol.soil_bank_path:
+def _training_inputs(args, policy_path: Path, plan: Plan, cfg: tinytrain.TrainConfig):
+    """The soil bank and the images of a training run of ``plan``, at least
+    a batch of them. A ``--synthetic`` run synthesizes its images, and its
+    bank where the plan needs one and names none, at the config's input
+    size and seed; a ``--data`` run reads its images from that directory."""
+    if args.synthetic is not None and plan.needs_bank and not plan.soil_bank_path:
         bank = augment.build_soil_bank(tinytrain.make_synthetic_soil(
             32, size=cfg.input_size, seed=derive_seed(cfg.seed, 0xBA9C)))
         if len(bank) == 0:
             raise RuntimeError("synthetic soil generation admitted no images")
     else:
-        bank = _soil_bank(policy_path, pol, needs_bank)
+        bank = _soil_bank(policy_path, plan)
     if args.synthetic is not None:
         images = tinytrain.make_synthetic_corpus(
             args.synthetic, size=cfg.input_size, seed=derive_seed(cfg.seed, 0xDA7A))
@@ -430,8 +428,8 @@ def _cmd_pretrain(args, manifest: Manifest) -> int:
             cfg.validate()
 
     policy_path = Path(args.policy)
-    pol, plan = _load_run_policy(policy_path, None)
-    bank, dataset = _training_inputs(args, policy_path, pol, plan.needs_bank, cfg)
+    plan = _load_run_policy(policy_path, None)
+    bank, dataset = _training_inputs(args, policy_path, plan, cfg)
 
     out_path = Path(args.out)
     trace_path = out_path.with_suffix(out_path.suffix + ".trace.csv")
@@ -511,15 +509,15 @@ def _cmd_gradcheck(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------------------
 
 def _bench_task(task) -> None:
-    in_path, index, stage = task
-    plan = _RUN["plans"][stage]
+    """Both views of one input file, made with the task's stage plan."""
+    in_path, index, plan = task
     make_views(load_ppm(Path(in_path).read_bytes()), plan, index, _RUN["bank"])
 
 
 def _cmd_bench(args, manifest: Manifest) -> int:
     import statistics
 
-    files, pol, plan, bank, workers = _image_run(args, manifest)
+    files, plan, bank, workers = _image_run(args, manifest)
     if not files:
         raise UsageError(f"no .ppm images in {args.input}")
     # a bad input fails here, naming it; the timed tasks decode again
@@ -527,13 +525,13 @@ def _cmd_bench(args, manifest: Manifest) -> int:
         _load(path, load_ppm, "image")
     manifest.add("repeat", args.repeat)
 
-    plans = {e.name: _cell_policy(pol, (e.name,)) for e in plan.entries}
-    plans[None] = plan
+    # each augmentation alone, always applied, then the whole plan
+    stages = [(e.name, ordered_plan(plan, (e.name,))) for e in plan.entries]
+    stages.append(("end_to_end", plan))
     print(f"benchmark: {len(files)} images, median of {args.repeat}, "
           f"workers={workers}")
-    with _worker_pool(workers, plans, bank) as pool:
-        for stage in plans:
-            label = stage if stage is not None else "end_to_end"
+    with _worker_pool(workers, bank) as pool:
+        for label, stage in stages:
             tasks = [(str(path), index, stage) for index, path in enumerate(files)]
             times = []
             for _ in range(args.repeat):
@@ -551,22 +549,6 @@ def _cmd_bench(args, manifest: Manifest) -> int:
 # ---------------------------------------------------------------------------
 # order sweep
 # ---------------------------------------------------------------------------
-
-def _cell_policy(base: Policy, names: tuple[str, ...]) -> Plan:
-    """The plan that runs ``names`` in order, always, with the overrides
-    ``base`` gives them."""
-    by_name = {e.name: e for e in base.entries}
-    entries = []
-    for name in names:
-        params = dict(by_name[name].params) if name in by_name else {}
-        entries.append(PolicyEntry(name, 1.0, params))
-    return compile_policy(Policy(
-        entries=entries,
-        master_seed=base.master_seed,
-        theta=base.theta,
-        soil_bank_path=base.soil_bank_path,
-    ))
-
 
 def _run_cell(dataset, cell: Plan, bank, cfg: tinytrain.TrainConfig):
     ckpt, trace = tinytrain.pretrain(dataset, cell, cfg, soil_bank=bank)
@@ -589,13 +571,13 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
     if args.pairs and args.names is not None:
         raise UsageError("--names applies to --full only; --pairs sweeps all six")
     policy_path = Path(args.policy)
-    base, _ = _load_run_policy(policy_path, args.seed)
+    plan = _load_run_policy(policy_path, args.seed)
     cfg = tinytrain.TrainConfig(
         batch_size=args.batch,
         learning_rate=args.lr,
         lam=args.lam,
         epochs=10 ** 6,
-        seed=base.master_seed,
+        seed=plan.master_seed,
         embed_dim=args.embed_dim,
         input_size=args.input_size,
         max_steps=args.steps,
@@ -605,14 +587,14 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
     if args.names is not None:
         sweep_names = tuple(n.strip() for n in args.names.split(","))
     elif args.full:
-        sweep_names = tuple(e.name for e in base.entries[:3])
+        sweep_names = tuple(e.name for e in plan.entries[:3])
     else:
         sweep_names = AUGMENTATION_NAMES
     if not sweep_names:
         raise UsageError(f"{policy_path}: policy has no entries to sweep; name them in --names")
     with _usage("--names: "):
-        swept = _cell_policy(base, sweep_names)
-    bank, dataset = _training_inputs(args, policy_path, base, swept.needs_bank, cfg)
+        swept = ordered_plan(plan, sweep_names)
+    bank, dataset = _training_inputs(args, policy_path, swept, cfg)
 
     out_dir = Path(args.out_dir)
     manifest.add("mode", "pairs" if args.pairs else "full")
@@ -629,7 +611,7 @@ def _cmd_order_sweep(args, manifest: Manifest) -> int:
         orders = {o: f"order {'+'.join(o)}:" for o in itertools.permutations(sweep_names)}
     cells = {}
     for order, label in orders.items():
-        cells[order] = _run_cell(dataset, _cell_policy(base, order), bank, cfg)
+        cells[order] = _run_cell(dataset, ordered_plan(plan, order), bank, cfg)
         print(label + " loss={:.4f} diag={:.4f} offdiag={:.4f}".format(*cells[order]))
     tables = {"cells.csv": ["order,loss,diag_mean,offdiag_mean"]}
     tables["cells.csv"] += [f"{'+'.join(o)}," + ",".join(map(repr, cell))

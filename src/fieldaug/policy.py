@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -51,6 +51,7 @@ __all__ = [
     "DEFAULT_PROBABILITIES",
     "default_policy",
     "compile_policy",
+    "ordered_plan",
     "apply_policy",
     "make_views",
     "view_pairs",
@@ -221,12 +222,18 @@ def _plan_entry(name: str, probability: float, keywords: dict) -> PlanEntry:
 @dataclass(frozen=True)
 class Plan:
     """A validated policy with each entry's parameters merged, ready to
-    apply to any number of views."""
+    apply to any number of views; ``needs_bank`` is computed from the
+    entries, true when background invariance is one."""
 
     entries: tuple[PlanEntry, ...]
     master_seed: int
     theta: float
-    needs_bank: bool
+    soil_bank_path: str
+    needs_bank: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "needs_bank",
+                           any(e.name == "background_invariance" for e in self.entries))
 
 
 def compile_policy(policy: Policy | Plan) -> Plan:
@@ -238,12 +245,18 @@ def compile_policy(policy: Policy | Plan) -> Plan:
         _plan_entry(e.name, e.probability, values)
         for e, values in zip(policy.entries, validate_policy(policy))
     )
-    return Plan(
-        entries=entries,
-        master_seed=int(policy.master_seed),
-        theta=policy.theta,
-        needs_bank=any(e.name == "background_invariance" for e in entries),
-    )
+    return Plan(entries, int(policy.master_seed), policy.theta, policy.soil_bank_path)
+
+
+def ordered_plan(plan: Plan, names) -> Plan:
+    """The plan that runs ``names`` in order, each always, with the keywords
+    ``plan`` holds for it, or else its defaults; an unknown or repeated name
+    fails as it does in a policy."""
+    cell = compile_policy(Policy([PolicyEntry(name, 1.0) for name in names],
+                                 plan.master_seed, plan.theta, plan.soil_bank_path))
+    keywords = {e.name: e.keywords for e in plan.entries}
+    entries = tuple(PlanEntry(e.name, 1.0, keywords.get(e.name, e.keywords)) for e in cell.entries)
+    return replace(cell, entries=entries)
 
 
 def validate_policy(policy: Policy, lines: dict | None = None) -> list[dict]:

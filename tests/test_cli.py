@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import platform
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +305,20 @@ class TestSoilbankCommand:
                          "--output", str(tmp_path / "bank")]) == 0
         assert sorted(reads) == ["soil_0.ppm", "soil_1.ppm", "soil_2.ppm"]
         assert sorted(p.name for p in (tmp_path / "bank").glob("*.ppm")) == sorted(reads)
+
+    def test_unreadable_candidate_is_reported_and_the_rest_screened(self, tmp_path, capsys):
+        write_bank(tmp_path / "in", count=3)
+        (tmp_path / "in" / "soil_1.ppm").unlink()
+        (tmp_path / "in" / "soil_1.ppm").mkdir()
+        manifest = tmp_path / "bank.manifest.txt"
+        assert cli.main(["soilbank", "--input", str(tmp_path / "in"),
+                         "--output", str(tmp_path / "bank"), "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err.startswith("error: soil_1.ppm: [Errno 21] ")
+        assert (tmp_path / "bank" / "index.txt").read_text().split()[::2] == [
+            "soil_0.ppm", "soil_2.ppm"]
+        lines = manifest.read_text().splitlines()
+        assert f"input={tmp_path / 'in'}" in lines and f"output={tmp_path / 'bank'}" in lines
+        assert "admitted=2" in lines and "failed=1" in lines and "status=error" in lines
 
     def test_bank_admitted_again_at_load_names_the_rule(self, tmp_path, capsys):
         # soilbank takes any --max-fraction; a run that loads the bank admits
@@ -612,10 +627,10 @@ def augment(out):
                          str(outputs / out), "--policy", str(root / "p.policy")]) == 0
         return
     (outputs / out).mkdir()
-    pol, plan = cli._load_run_policy(root / "p.policy", None)
-    with cli._worker_pool(1, {None: plan}, cli._soil_bank(root / "p.policy", pol, True)):
+    plan = cli._load_run_policy(root / "p.policy", None)
+    with cli._worker_pool(1, cli._soil_bank(root / "p.policy", plan)):
         for i, path in enumerate(inputs):
-            assert cli._augment_task((i, str(path), str(outputs / out)))[1] == ""
+            assert cli._augment_task((i, str(path), str(outputs / out), plan))[1] == ""
 
 augment("warm")
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -680,7 +695,7 @@ class TestFreedMemory:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        with cli._worker_pool(2, {}, None) as pool:
+        with cli._worker_pool(2, None) as pool:
             assert pool is not None
         [(initializer, initargs)] = initializers
         # run the recorded initializer here, with the allocator call counted
@@ -767,17 +782,24 @@ class TestBenchCommand:
 
     def test_times_both_views_of_each_image(self, workspace, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "make_views",
-                            lambda img, plan, index, bank: calls.append(index)
-                            or make_views(img, plan, index, bank))
+
+        def recorded(img, plan, index, bank):
+            calls.append((tuple((e.name, e.probability) for e in plan.entries), index))
+            return make_views(img, plan, index, bank)
+
+        monkeypatch.setattr(cli, "make_views", recorded)
         assert cli.main([
             "bench", "--input", str(workspace / "in"),
             "--policy", str(workspace / "policy.txt"), "--repeat", "2",
             "--manifest", str(workspace / "bench.manifest.txt"),
         ]) == 0
         images = len(list((workspace / "in").glob("*.ppm")))
-        stages = len(load_policy((workspace / "policy.txt").read_text()).entries) + 1
-        assert sorted(calls) == sorted(list(range(images)) * 2 * stages)
+        entries = [(e.name, e.probability)
+                   for e in load_policy((workspace / "policy.txt").read_text()).entries]
+        # each stage its one entry, always applied, then end_to_end the whole policy
+        stages = [((name, 1.0),) for name, _ in entries] + [tuple(entries)]
+        assert calls == [(stage, index) for stage in stages
+                         for _ in range(2) for index in range(images)]
 
     def test_corrupt_input_is_usage_error_before_any_timing(self, workspace, capsys):
         bad = workspace / "in" / "bad.ppm"
@@ -813,6 +835,20 @@ class TestSharedOptions:
         assert len(commands) == 7
         actions = [commands[name]._option_string_actions[flag] for name in self.SHARED[flag]]
         assert all(action is actions[0] for action in actions)
+
+
+class TestReadmeExamples:
+    def test_every_cli_example_parses(self):
+        # README's CLI block, one `fieldaug` command a line, parsed but not run
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line) for line in block.splitlines()]
+        assert examples and all(argv[0] == "fieldaug" for argv in examples)
+        parser = cli._build_parser()
+        commands = {parser.parse_args(argv[1:]).command for argv in examples}
+        [subcommands] = [a.choices for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        assert commands == set(subcommands)
 
 
 class TestCountFlags:

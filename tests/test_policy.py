@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import itertools
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -593,6 +595,51 @@ class TestPlan:
             a = make_views(plant_image, pol, index, soil_bank=soil_bank)
             b = make_views(plant_image, plan, index, soil_bank=soil_bank)
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_plan_pickles_with_its_bank_path_and_need(self):
+        for pol in (load_policy(ORDERED_POLICY), Policy([PolicyEntry("mixing", 1.0)], 5)):
+            plan = P.compile_policy(pol)
+            copy = pickle.loads(pickle.dumps(plan))
+            assert copy == plan
+            assert (copy.soil_bank_path, copy.needs_bank) == (
+                pol.soil_bank_path, any(e.name == "background_invariance" for e in pol.entries))
+
+    def test_needs_bank_is_computed_not_given(self):
+        assert P.Plan((), 0, 0.0, "bank").needs_bank is False
+        with pytest.raises(TypeError):
+            P.Plan((), 0, 0.0, "bank", needs_bank=True)
+
+
+# overrides on several entries, mixing left to its defaults, theta and a bank path
+ORDERED_POLICY = """seed=11
+theta=0.25
+soil_bank=bank
+gaussian_blur 0.500 sigma_max=1.5
+affine 0.250 rotation_max=0.5 scale_min=0.7
+random_erasing 0.300 area_max=0.05 max_rects=2
+color_jitter 0.900 hue_max=0.05
+background_invariance 0.700
+"""
+
+
+def cell_plan(base: Policy, names) -> P.Plan:
+    """The reference for ``ordered_plan``: a policy of ``names``, each always
+    applied with the overrides ``base`` gives it, compiled."""
+    by_name = {e.name: e for e in base.entries}
+    entries = [PolicyEntry(n, 1.0, dict(by_name[n].params) if n in by_name else {})
+               for n in names]
+    return P.compile_policy(Policy(entries, base.master_seed, base.theta, base.soil_bank_path))
+
+
+class TestOrderedPlan:
+    def test_equals_the_policy_it_stands_for_in_every_sweep_order(self):
+        pol = load_policy(ORDERED_POLICY)
+        plan = P.compile_policy(pol)
+        pairs = {(a,) if a == b else (a, b) for a in AUGMENTATION_NAMES for b in AUGMENTATION_NAMES}
+        full = set(itertools.permutations(e.name for e in pol.entries[:3]))
+        assert len(pairs) == 36 and len(full) == 6
+        for names in pairs | full:
+            assert P.ordered_plan(plan, names) == cell_plan(pol, names), names
 
 
 def count_masks(monkeypatch) -> list:
